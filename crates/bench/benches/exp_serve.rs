@@ -83,7 +83,7 @@ fn main() {
     section("EXP-S1: HTTP front door — served req/s and end-to-end samples/s");
     println!(
         "  vehicles compact, n = {N_TUPLES}, k = {K}; loopback TCP, keep-alive, \
-         4 server workers"
+         epoll reactor"
     );
 
     // Raw page service rate.

@@ -68,8 +68,7 @@ sample:
                        from one thread, pipelined over the wire (optionally
                        share connections via --coop-conns)
   --coop-conns <C>     with --coop-walkers: TCP connections to share
-                       (default 4 — a live server serves at most
-                       `serve --workers` keep-alive connections at once)
+                       (default 4)
 
 aggregate:
   --proportion attr=label   estimate a proportion (repeatable)
@@ -108,12 +107,6 @@ multi-site:
 
 serve:
   --port <P>           TCP port on 127.0.0.1 (default 8000; 0 = ephemeral)
-  --reactor            event-driven serve mode: epoll readiness loops, one
-                       per core, multiplexing every connection (default)
-  --pool               thread-per-connection serve mode: a bounded worker
-                       pool of --workers threads (at most that many
-                       keep-alive connections at once)
-  --workers <W>        connection worker threads with --pool     (default 4)
   --serve-for <SECS>   shut down gracefully after SECS (default: run until
                        killed)
   --max-conns <N>      admission cap: connections past N concurrently open
@@ -209,9 +202,7 @@ pub enum Command {
         mode: DriverMode,
         /// With `--driver coop`: wire connections per site the walkers
         /// share. Defaults to one per walker on the virtual wire and a
-        /// small pipelined handful on live servers (a thread-per-
-        /// connection server serves at most `--workers` keep-alive
-        /// connections at once).
+        /// pipelined handful on live servers.
         coop_conns: Option<usize>,
         /// Re-render fleet-wide live histograms mid-run.
         watch: bool,
@@ -234,11 +225,6 @@ pub enum Command {
     Serve {
         /// Port on 127.0.0.1 (0 picks an ephemeral port).
         port: u16,
-        /// Serve through the bounded thread-per-connection pool instead
-        /// of the default epoll reactor (`--pool`).
-        pool: bool,
-        /// Connection worker threads (pool mode).
-        workers: usize,
         /// Graceful shutdown after this many seconds (None: run until
         /// killed).
         serve_for: Option<u64>,
@@ -373,10 +359,7 @@ pub fn parse(argv: &[String]) -> Result<Cli, String> {
     let mut jitter_ms = 0u64;
     let mut mode = DriverMode::Concurrent;
     let mut port = 8000u16;
-    let mut serve_workers = 4usize;
     let mut serve_for = None;
-    let mut serve_pool = false;
-    let mut serve_reactor = false;
     let mut coop_walkers = None;
     let mut coop_conns = None;
     let mut watch = false;
@@ -480,16 +463,6 @@ pub fn parse(argv: &[String]) -> Result<Cli, String> {
                     .parse()
                     .map_err(|_| "--port: not a port number")?
             }
-            "--workers" => {
-                serve_workers = value("--workers")?
-                    .parse()
-                    .map_err(|_| "--workers: not a number")?;
-                if serve_workers == 0 {
-                    return Err("--workers must be at least 1".into());
-                }
-            }
-            "--pool" => serve_pool = true,
-            "--reactor" => serve_reactor = true,
             "--serve-for" => {
                 serve_for = Some(
                     value("--serve-for")?
@@ -622,15 +595,6 @@ pub fn parse(argv: &[String]) -> Result<Cli, String> {
     if max_conns != 0 && command_word != "serve" {
         return Err(format!("--max-conns does not apply to `{command_word}`"));
     }
-    if (serve_pool || serve_reactor) && command_word != "serve" {
-        return Err(format!(
-            "--{} does not apply to `{command_word}`",
-            if serve_pool { "pool" } else { "reactor" }
-        ));
-    }
-    if serve_pool && serve_reactor {
-        return Err("--pool and --reactor name opposite serve modes; pick one".into());
-    }
 
     let command = match command_word.as_str() {
         "describe" => Command::Describe,
@@ -733,8 +697,6 @@ pub fn parse(argv: &[String]) -> Result<Cli, String> {
         }
         "serve" => Command::Serve {
             port,
-            pool: serve_pool,
-            workers: serve_workers,
             serve_for,
             chaos,
             trace: trace_path,
@@ -989,8 +951,6 @@ mod tests {
             "serve",
             "--port",
             "9090",
-            "--workers",
-            "8",
             "--serve-for",
             "30",
             "--dataset",
@@ -1001,8 +961,6 @@ mod tests {
             cli.command,
             Command::Serve {
                 port: 9090,
-                pool: false,
-                workers: 8,
                 serve_for: Some(30),
                 chaos: None,
                 trace: None,
@@ -1017,8 +975,6 @@ mod tests {
             defaults.command,
             Command::Serve {
                 port: 8000,
-                pool: false,
-                workers: 4,
                 serve_for: None,
                 chaos: None,
                 trace: None,
@@ -1026,22 +982,7 @@ mod tests {
                 max_conns: 0,
             }
         );
-        assert!(parse(&argv(&["serve", "--workers", "0"])).is_err());
         assert!(parse(&argv(&["serve", "--port", "99999"])).is_err());
-
-        // Serve modes: the reactor is the default, `--pool` opts out, and
-        // the two flags are mutually exclusive and serve-only.
-        assert!(matches!(
-            parse(&argv(&["serve", "--pool"])).unwrap().command,
-            Command::Serve { pool: true, .. }
-        ));
-        assert!(matches!(
-            parse(&argv(&["serve", "--reactor"])).unwrap().command,
-            Command::Serve { pool: false, .. }
-        ));
-        assert!(parse(&argv(&["serve", "--pool", "--reactor"])).is_err());
-        assert!(parse(&argv(&["sample", "--pool"])).is_err());
-        assert!(parse(&argv(&["describe", "--reactor"])).is_err());
 
         let remote = parse(&argv(&["sample", "--remote", "127.0.0.1:9090"])).unwrap();
         assert_eq!(remote.common.remote.as_deref(), Some("127.0.0.1:9090"));

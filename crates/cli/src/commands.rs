@@ -11,8 +11,8 @@ use hdsampler_estimator::{fmt_stat, Estimator, Histogram, MarginalComparison, On
 use hdsampler_hidden_db::{CountMode, HiddenDb};
 use hdsampler_model::{ConjunctiveQuery, FormInterface, Schema};
 use hdsampler_server::{
-    render_server_metrics, Adversary, BridgeSink, HttpServer, Response, ServeMode, ServerConfig,
-    ServerHandle, SiteBehavior,
+    render_server_metrics, Adversary, BridgeSink, HttpServer, Response, ServerConfig, ServerHandle,
+    SiteBehavior,
 };
 use hdsampler_webform::{
     read_journal, summarize, watch_events, write_journal, AsyncTransport, BoxTransport, ChaosSpec,
@@ -210,7 +210,6 @@ impl PlanTelemetry {
                 let registry = MetricsRegistry::new();
                 let cfg = ServerConfig {
                     addr: format!("127.0.0.1:{port}"),
-                    workers: 2,
                     metrics: Some(registry.clone()),
                     ..ServerConfig::default()
                 };
@@ -361,8 +360,6 @@ pub fn run(cli: Cli) -> Result<(), String> {
         }
         Command::Serve {
             port,
-            pool,
-            workers,
             serve_for,
             chaos,
             trace,
@@ -371,8 +368,6 @@ pub fn run(cli: Cli) -> Result<(), String> {
         } => serve(
             &cli.common,
             port,
-            pool,
-            workers,
             serve_for,
             chaos,
             &TelemetryOpts::new(trace, metrics),
@@ -473,8 +468,6 @@ fn trace_watch(addr: &str) -> Result<(), String> {
 fn serve(
     common: &Common,
     port: u16,
-    pool: bool,
-    workers: usize,
     serve_for: Option<u64>,
     chaos: Option<ChaosSpec>,
     telemetry: &TelemetryOpts,
@@ -486,16 +479,8 @@ fn serve(
     let k = db.result_limit();
     let site = Arc::new(LocalSite::new(db, Arc::clone(&schema)));
     let action = site.form().action().to_string();
-    let mode = if pool {
-        ServeMode::Pool
-    } else {
-        ServeMode::Reactor
-    };
-    let reactor_live = mode == ServeMode::Reactor && cfg!(target_os = "linux");
     let cfg = ServerConfig {
         addr: format!("127.0.0.1:{port}"),
-        workers,
-        mode,
         max_conns,
         ..ServerConfig::default()
     };
@@ -513,13 +498,6 @@ fn serve(
         handle.addr()
     );
     println!("telemetry: /metrics exposition and /events live stream on the same port");
-    if reactor_live {
-        println!("mode: epoll reactor — one readiness loop per core multiplexing every connection");
-    } else if mode == ServeMode::Reactor {
-        println!("mode: bounded pool, {workers} worker thread(s) (the epoll reactor needs Linux)");
-    } else {
-        println!("mode: bounded pool, {workers} worker thread(s) (--pool)");
-    }
     if max_conns > 0 {
         println!(
             "admission: at most {max_conns} open connection(s); extras get \
@@ -572,17 +550,15 @@ fn serve(
                 stats.requests_events,
                 stats.requests_other,
             );
-            if reactor_live {
-                println!(
-                    "reactor: {} wakeups, {} ready events, {} accepts, {} timers fired, \
-                     {} connection(s) still open",
-                    stats.reactor_wakeups,
-                    stats.reactor_ready_events,
-                    stats.reactor_accepts,
-                    stats.timers_fired,
-                    stats.open_connections,
-                );
-            }
+            println!(
+                "reactor: {} wakeups, {} ready events, {} accepts, {} timers fired, \
+                 {} connection(s) still open",
+                stats.reactor_wakeups,
+                stats.reactor_ready_events,
+                stats.reactor_accepts,
+                stats.timers_fired,
+                stats.open_connections,
+            );
             if let Some(path) = &telemetry.metrics {
                 std::fs::write(path, render_server_metrics(&stats, None))
                     .map_err(|e| format!("cannot write metrics exposition `{path}`: {e}"))?;
@@ -956,12 +932,11 @@ fn fleet_watch_sink(schema: &Schema) -> Result<WatchSink, String> {
 /// `multi-site --remote a,b,c`: one site per live server address, real
 /// wall clock instead of the virtual one.
 /// Pipelined connections per live site when `--driver coop` is used
-/// without `--coop-conns`: the reactor server (the `serve` default)
-/// multiplexes every connection onto per-core readiness loops, so a
-/// wide fan-out no longer starves a worker pool — 64 connections keeps
+/// without `--coop-conns`: the server multiplexes every connection onto
+/// per-core readiness loops, so a wide fan-out costs it slab slots, not
+/// threads — 64 connections keeps
 /// per-connection pipelines shallow (better latency under cancellation)
-/// while staying far below fd limits. Against a `serve --pool` server,
-/// cap it by hand (`--coop-conns <= --workers`).
+/// while staying far below fd limits.
 const DEFAULT_REMOTE_COOP_CONNS: usize = 64;
 
 #[allow(clippy::too_many_arguments)]

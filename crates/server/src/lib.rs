@@ -8,7 +8,7 @@
 //! function call and `LatencyTransport` billed virtual clocks. This crate
 //! puts the form behind a real socket: a hand-rolled HTTP/1.1 server
 //! (request parsing with hard limits, keep-alive, `Content-Length` and
-//! chunked responses, a bounded thread-per-connection pool with graceful
+//! chunked responses, one event-driven connection engine with graceful
 //! shutdown) that mounts any [`SiteBehavior`] — in particular any
 //! [`LocalSite`](hdsampler_webform::LocalSite) — as real GET endpoints:
 //!
@@ -30,24 +30,22 @@
 //! * [`adversary`] — [`Adversary`], seeded fault injection (throttles,
 //!   transient 5xx, dropped connections, slow starts, count noise) in
 //!   front of any mounted site;
-//! * [`pool`] — the bounded worker pool (backpressure via a bounded
-//!   queue, not unbounded thread growth);
 //! * [`events`] — the [`EventHub`] broadcast behind `GET /events`
 //!   (chunked SSE) and the [`BridgeSink`] that mirrors a local sampling
 //!   run's accepted samples onto it;
-//! * [`reactor`] — the event-driven serve mode: epoll readiness loops
-//!   (one per core) multiplexing resumable per-connection
-//!   [`ConnMachine`]s, the C10K front half and the default
-//!   [`ServeMode`];
-//! * [`server`] — the accept loop, keep-alive connection handling,
-//!   graceful shutdown, live [`ServerStats`] (per-route counters,
+//! * [`reactor`] — the connection engine: [`ConnMachine`], the one
+//!   implementation of the HTTP/1.1 connection protocol (keep-alive,
+//!   pipelining, deadlines, `/events` streams), resumed by epoll
+//!   readiness loops (one per core) or, where no epoll set can be
+//!   created, by a blocking thread per connection;
+//! * [`server`] — binding, the shared request semantics, graceful
+//!   shutdown, live [`ServerStats`] (per-route counters,
 //!   bytes in/out, a per-request ring log with echoed `x-hds-trace`
 //!   ids), and the built-in `GET /metrics` Prometheus exposition.
 
 pub mod adversary;
 pub mod events;
 pub mod http;
-pub mod pool;
 pub mod reactor;
 pub mod server;
 pub mod site;
@@ -55,7 +53,6 @@ pub mod site;
 pub use adversary::Adversary;
 pub use events::{BridgeSink, EventHub};
 pub use http::{parse_request, write_response, HttpVersion, Request, RequestError, Response};
-pub use pool::ThreadPool;
 pub use reactor::{ConnMachine, WriteProgress};
 pub use server::{
     render_server_metrics, HttpServer, RequestLogEntry, ServeMode, ServerConfig, ServerHandle,

@@ -1,37 +1,36 @@
-//! The TCP front door: accept loop, keep-alive connection handling,
-//! bounded worker pool, graceful shutdown — plus the built-in telemetry
-//! plane every served site gets for free: `GET /metrics` (Prometheus
-//! text exposition of [`ServerStats`] and an optional attached
-//! [`MetricsRegistry`]) and `GET /events` (a chunked SSE stream of the
-//! server's [`EventHub`]).
+//! The TCP front door: binding, the per-request semantics every
+//! connection shares (`handle_request`), live counters, graceful
+//! shutdown — plus the built-in telemetry plane every served site gets
+//! for free: `GET /metrics` (Prometheus text exposition of
+//! [`ServerStats`] and an optional attached [`MetricsRegistry`]) and
+//! `GET /events` (a chunked SSE stream of the server's [`EventHub`]).
+//! The connection protocol itself lives in [`reactor`](crate::reactor).
 
 use std::collections::VecDeque;
-use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use hdsampler_core::{MetricsRegistry, TraceEvent};
 
 use crate::events::EventHub;
-use crate::http::{parse_request, write_response, Request, Response, DEFAULT_CHUNK_THRESHOLD};
+use crate::http::{Request, Response, DEFAULT_CHUNK_THRESHOLD};
 use crate::site::SiteBehavior;
 
-/// How a server multiplexes its connections.
+/// How a server multiplexes its connections. Kept so configurations
+/// that name it still build: there is one connection engine, and no
+/// code branches on this value.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ServeMode {
-    /// Event-driven epoll reactor, one readiness loop per core: a
-    /// connection costs a slab slot, not a thread, so one process holds
-    /// 10k+ concurrent keep-alive connections. The default; falls back
-    /// to [`ServeMode::Pool`] on platforms without epoll.
+    /// Every connection is a [`ConnMachine`](crate::ConnMachine) resumed
+    /// by epoll readiness loops, one per core: a connection — keep-alive
+    /// or `/events` watcher — costs a slab slot, not a thread. Where no
+    /// epoll set can be created (non-Linux hosts, or `epoll_create1`
+    /// failing) a blocking thread per connection drives the same machine.
     #[default]
     Reactor,
-    /// The original bounded worker pool: thread-per-in-flight-connection,
-    /// concurrency capped at `workers + queue_depth`. Simpler blocking
-    /// I/O; useful as a comparison baseline and on non-Linux hosts.
-    Pool,
 }
 
 /// Server tuning knobs.
@@ -40,22 +39,18 @@ pub struct ServerConfig {
     /// Bind address; port 0 picks an ephemeral port (see
     /// [`ServerHandle::addr`] for the chosen one).
     pub addr: String,
-    /// Connection multiplexing strategy.
+    /// Connection multiplexing strategy; see [`ServeMode`] — nothing
+    /// branches on it.
     pub mode: ServeMode,
-    /// Reactor loops to run under [`ServeMode::Reactor`]; 0 means one
-    /// per available core.
+    /// Readiness loops to run; 0 means one per available core.
     pub reactor_threads: usize,
-    /// Worker threads handling connections ([`ServeMode::Pool`]).
-    pub workers: usize,
-    /// Accepted connections that may wait for a free worker before the
-    /// acceptor itself blocks (backpressure; [`ServeMode::Pool`]).
-    pub queue_depth: usize,
     /// Idle time after which a keep-alive connection is closed; also the
-    /// per-request read deadline (slowloris guard).
+    /// deadline for a partial request (slowloris guard) and the flush
+    /// window of a closing response.
     pub keep_alive_timeout: Duration,
     /// Admission cap: connections past this many concurrently open are
-    /// answered `503` + `Retry-After` and closed instead of served
-    /// (both serve modes). `0` disables the cap.
+    /// answered `503` + `Retry-After` and closed instead of served.
+    /// `0` disables the cap.
     pub max_conns: usize,
     /// Bodies above this size are sent chunked instead of Content-Length.
     pub chunk_threshold: usize,
@@ -72,8 +67,6 @@ impl Default for ServerConfig {
             addr: "127.0.0.1:0".into(),
             mode: ServeMode::default(),
             reactor_threads: 0,
-            workers: 4,
-            queue_depth: 8,
             keep_alive_timeout: Duration::from_secs(5),
             max_conns: 0,
             chunk_threshold: DEFAULT_CHUNK_THRESHOLD,
@@ -99,39 +92,77 @@ pub struct RequestLogEntry {
     pub status: u16,
 }
 
-/// Monotonic counters kept by a running server (plus the one gauge,
-/// `open_connections`). Shared with the reactor module, which drives the
-/// same counters from its readiness loops.
-#[derive(Debug, Default)]
-pub(crate) struct StatsInner {
-    pub(crate) connections: AtomicU64,
-    pub(crate) requests: AtomicU64,
-    pub(crate) responses_ok: AtomicU64,
-    pub(crate) responses_client_error: AtomicU64,
-    pub(crate) responses_server_error: AtomicU64,
-    pub(crate) connections_dropped: AtomicU64,
-    pub(crate) bytes_out: AtomicU64,
-    pub(crate) bytes_in: AtomicU64,
-    pub(crate) requests_landing: AtomicU64,
-    pub(crate) requests_search: AtomicU64,
-    pub(crate) requests_metrics: AtomicU64,
-    pub(crate) requests_events: AtomicU64,
-    pub(crate) requests_other: AtomicU64,
-    /// `epoll_wait` returns across all reactor loops.
-    pub(crate) reactor_wakeups: AtomicU64,
-    /// Readiness events those wakeups delivered (ready-set sizes summed).
-    pub(crate) reactor_ready_events: AtomicU64,
-    /// Connections accepted by reactor loops (0 in pool mode).
-    pub(crate) reactor_accepts: AtomicU64,
-    /// Connections turned away at the admission cap (`503`).
-    pub(crate) admission_rejects: AtomicU64,
-    /// Reactor deadline timers that fired (idle close, slowloris 408,
-    /// flush-window expiry).
-    pub(crate) timers_fired: AtomicU64,
-    /// Connections currently open (gauge: incremented on accept,
-    /// decremented on close — both serve modes).
-    pub(crate) open_connections: AtomicU64,
-    log: Mutex<VecDeque<RequestLogEntry>>,
+/// Declare the server's counters once: the atomic [`StatsInner`] the
+/// connection engine drives, its public copy [`ServerStats`], and the
+/// snapshot between the two.
+macro_rules! server_counters {
+    ($($(#[$doc:meta])* $name:ident,)*) => {
+        /// Monotonic counters kept by a running server (plus the one
+        /// gauge, `open_connections`) and its request log.
+        #[derive(Debug, Default)]
+        pub(crate) struct StatsInner {
+            $(pub(crate) $name: AtomicU64,)*
+            log: Mutex<VecDeque<RequestLogEntry>>,
+        }
+
+        /// A point-in-time copy of the server's counters.
+        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+        pub struct ServerStats {
+            $($(#[$doc])* pub $name: u64,)*
+        }
+
+        /// Read the counters without a [`ServerHandle`] (the `/metrics`
+        /// route runs inside a connection).
+        fn snapshot_stats(stats: &StatsInner) -> ServerStats {
+            ServerStats {
+                $($name: stats.$name.load(Ordering::Relaxed),)*
+            }
+        }
+    };
+}
+
+server_counters! {
+    /// TCP connections accepted.
+    connections,
+    /// Requests parsed off those connections.
+    requests,
+    /// 2xx responses written.
+    responses_ok,
+    /// 4xx responses written.
+    responses_client_error,
+    /// 5xx responses written.
+    responses_server_error,
+    /// Connections severed without a response (injected drops).
+    connections_dropped,
+    /// Response bytes written (headers + bodies + chunk framing).
+    bytes_out,
+    /// Request bytes read off accepted connections.
+    bytes_in,
+    /// Requests for `/` (the rendered form landing page).
+    requests_landing,
+    /// Requests for the form action (`/search…`).
+    requests_search,
+    /// Requests for `/metrics`.
+    requests_metrics,
+    /// Requests for `/events`.
+    requests_events,
+    /// Requests for any other target.
+    requests_other,
+    /// `epoll_wait` returns across all readiness loops (0 under the
+    /// blocking fallback driver).
+    reactor_wakeups,
+    /// Readiness events delivered by those wakeups.
+    reactor_ready_events,
+    /// Connections accepted by readiness loops.
+    reactor_accepts,
+    /// Connections turned away at the admission cap (`503` +
+    /// `Retry-After`; see [`ServerConfig::max_conns`]).
+    admission_rejects,
+    /// Connection deadlines expired (idle close / slowloris / flush cap).
+    timers_fired,
+    /// Connections open right now (gauge: incremented on admission,
+    /// decremented on close).
+    open_connections,
 }
 
 impl StatsInner {
@@ -147,50 +178,6 @@ impl StatsInner {
             status,
         });
     }
-}
-
-/// A point-in-time copy of the server's counters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ServerStats {
-    /// TCP connections accepted.
-    pub connections: u64,
-    /// Requests parsed off those connections.
-    pub requests: u64,
-    /// 2xx responses written.
-    pub responses_ok: u64,
-    /// 4xx responses written.
-    pub responses_client_error: u64,
-    /// 5xx responses written.
-    pub responses_server_error: u64,
-    /// Connections severed without a response (injected drops).
-    pub connections_dropped: u64,
-    /// Response bytes written (headers + bodies + chunk framing).
-    pub bytes_out: u64,
-    /// Request bytes read off accepted connections.
-    pub bytes_in: u64,
-    /// Requests for `/` (the rendered form landing page).
-    pub requests_landing: u64,
-    /// Requests for the form action (`/search…`).
-    pub requests_search: u64,
-    /// Requests for `/metrics`.
-    pub requests_metrics: u64,
-    /// Requests for `/events`.
-    pub requests_events: u64,
-    /// Requests for any other target.
-    pub requests_other: u64,
-    /// `epoll_wait` returns across all reactor loops (0 in pool mode).
-    pub reactor_wakeups: u64,
-    /// Readiness events delivered by those wakeups.
-    pub reactor_ready_events: u64,
-    /// Connections accepted by reactor loops.
-    pub reactor_accepts: u64,
-    /// Connections turned away at the admission cap (`503` +
-    /// `Retry-After`; see [`ServerConfig::max_conns`]).
-    pub admission_rejects: u64,
-    /// Reactor deadline timers fired (idle close / slowloris / flush cap).
-    pub timers_fired: u64,
-    /// Connections open right now (gauge, both serve modes).
-    pub open_connections: u64,
 }
 
 /// The HTTP/1.1 server: binds a listener and serves a mounted site.
@@ -302,80 +289,36 @@ impl HttpServer {
     ) -> std::io::Result<ServerHandle> {
         let listener = bind_listener(&cfg.addr)?;
         let addr = listener.local_addr()?;
-        let stop = Arc::new(AtomicBool::new(false));
-        let stats = Arc::new(StatsInner::default());
-        let hub = Arc::new(EventHub::new());
-
-        // The reactor is the default front half wherever epoll exists;
-        // elsewhere (and on request) the bounded pool serves.
-        #[cfg(target_os = "linux")]
-        if cfg.mode == ServeMode::Reactor {
-            let acceptor = crate::reactor::spawn(
-                listener,
-                site,
-                Arc::clone(&stats),
-                Arc::clone(&stop),
-                Arc::clone(&hub),
-                cfg,
-            )?;
-            return Ok(ServerHandle {
-                addr,
-                stop,
-                stats,
-                hub,
-                acceptor: Some(acceptor),
-            });
-        }
-
-        let acceptor = {
-            let stop = Arc::clone(&stop);
-            let stats = Arc::clone(&stats);
-            let hub = Arc::clone(&hub);
-            let cfg = cfg.clone();
-            std::thread::Builder::new()
-                .name("hds-http-accept".into())
-                .spawn(move || {
-                    let mut pool = crate::pool::ThreadPool::new(cfg.workers, cfg.queue_depth);
-                    for conn in listener.incoming() {
-                        if stop.load(Ordering::SeqCst) {
-                            break;
-                        }
-                        let Ok(stream) = conn else { continue };
-                        let site = Arc::clone(&site);
-                        let stats = Arc::clone(&stats);
-                        let stop = Arc::clone(&stop);
-                        let hub = Arc::clone(&hub);
-                        let cfg = cfg.clone();
-                        if !pool.execute(move || {
-                            serve_connection(stream, &*site, &stats, &stop, &hub, &cfg);
-                        }) {
-                            break;
-                        }
-                    }
-                    // Joining here lets in-flight (and queued) connections
-                    // finish their current requests before shutdown
-                    // completes.
-                    pool.shutdown();
-                })?
-        };
-
+        let shared = Arc::new(Shared {
+            site,
+            stats: StatsInner::default(),
+            stop: AtomicBool::new(false),
+            hub: Arc::new(EventHub::new()),
+            cfg,
+        });
+        let threads = crate::reactor::start(listener, &shared)?;
         Ok(ServerHandle {
             addr,
-            stop,
-            stats,
-            hub,
-            acceptor: Some(acceptor),
+            shared,
+            threads,
         })
     }
+}
+
+/// What every driver thread of one running server shares.
+pub(crate) struct Shared {
+    pub(crate) site: Arc<dyn SiteBehavior>,
+    pub(crate) stats: StatsInner,
+    pub(crate) stop: AtomicBool,
+    pub(crate) hub: Arc<EventHub>,
+    pub(crate) cfg: ServerConfig,
 }
 
 /// Handle to a running server: the bound address, live stats, shutdown.
 pub struct ServerHandle {
     addr: SocketAddr,
-    stop: Arc<AtomicBool>,
-    stats: Arc<StatsInner>,
-    hub: Arc<EventHub>,
-    acceptor: Option<JoinHandle<()>>,
+    shared: Arc<Shared>,
+    threads: Vec<JoinHandle<()>>,
 }
 
 impl ServerHandle {
@@ -386,20 +329,21 @@ impl ServerHandle {
 
     /// Current counters.
     pub fn stats(&self) -> ServerStats {
-        snapshot_stats(&self.stats)
+        snapshot_stats(&self.shared.stats)
     }
 
     /// The server's event hub. The embedding process publishes into it
     /// (e.g. via [`BridgeSink`](crate::events::BridgeSink)) and every
     /// `/events` watcher receives the stream.
     pub fn events(&self) -> Arc<EventHub> {
-        Arc::clone(&self.hub)
+        Arc::clone(&self.shared.hub)
     }
 
     /// Snapshot of the per-request ring log (most recent
     /// [`REQUEST_LOG_CAP`]-ish entries, oldest first).
     pub fn request_log(&self) -> Vec<RequestLogEntry> {
-        self.stats
+        self.shared
+            .stats
             .log
             .lock()
             .expect("request log lock")
@@ -408,43 +352,31 @@ impl ServerHandle {
             .collect()
     }
 
-    /// Graceful shutdown: stop accepting, let every worker finish its
-    /// in-flight request, close idle keep-alive connections, join all
+    /// Graceful shutdown: stop accepting, let every connection finish its
+    /// in-flight request, close idle keep-alive connections, end every
+    /// `/events` stream after the frames already published, join all
     /// threads. Returns the final stats.
-    pub fn shutdown(mut self) -> ServerStats {
-        self.begin_shutdown();
-        if let Some(handle) = self.acceptor.take() {
-            let _ = handle.join();
-        }
-        self.stats()
-    }
-
-    fn begin_shutdown(&self) {
-        self.stop.store(true, Ordering::SeqCst);
-        // The acceptor blocks in `accept`; a throwaway connection wakes it
-        // so it can observe the flag.
-        let _ = TcpStream::connect(self.addr);
+    pub fn shutdown(self) -> ServerStats {
+        let shared = Arc::clone(&self.shared);
+        drop(self);
+        snapshot_stats(&shared.stats)
     }
 }
 
 impl Drop for ServerHandle {
     fn drop(&mut self) {
-        self.begin_shutdown();
-        if let Some(handle) = self.acceptor.take() {
+        self.shared.stop.store(true, Ordering::SeqCst);
+        // The blocking fallback's acceptor blocks in `accept`; a throwaway
+        // connection wakes it so it can observe the flag.
+        let _ = TcpStream::connect(self.addr);
+        for handle in self.threads.drain(..) {
             let _ = handle.join();
         }
     }
 }
 
-/// How often an idle keep-alive connection re-checks the stop flag; also
-/// the reactor loops' maximum sleep between wakeups.
-pub(crate) const IDLE_POLL: Duration = Duration::from_millis(100);
-
-/// What one parsed request resolved to. Both serve modes feed requests
-/// through [`handle_request`] and act on this — the pool by blocking
-/// writes, the reactor by queueing bytes into the connection's machine —
-/// which is what makes a sampling run against either mode
-/// sequence-identical.
+/// What one parsed request resolved to; the connection machine acts on
+/// it.
 pub(crate) enum Handled {
     /// Write this response, then keep or close the connection.
     Response {
@@ -452,26 +384,27 @@ pub(crate) enum Handled {
         keep_alive: bool,
         allow_chunked: bool,
     },
-    /// `/events`: the connection becomes a dedicated SSE stream.
+    /// `/events`: the connection becomes an SSE stream.
     EventStream,
     /// Injected drop: sever without writing a byte.
     Sever,
 }
 
-/// Count, route, and answer one parsed request: the serve-mode-agnostic
-/// request semantics (sequence counters, per-route counters, the
-/// body-bearing 400-and-close anti-smuggling rule, telemetry routes,
-/// trace-id echo, request log and event publication).
-pub(crate) fn handle_request(
-    req: &Request,
-    site: &dyn SiteBehavior,
-    stats: &StatsInner,
-    stop: &AtomicBool,
-    hub: &EventHub,
-    cfg: &ServerConfig,
-) -> Handled {
+/// Count, route, and answer one parsed request: the request semantics
+/// (sequence counters, per-route counters, the body-bearing
+/// 400-and-close anti-smuggling rule, telemetry routes, trace-id echo,
+/// request log and event publication).
+pub(crate) fn handle_request(req: &Request, srv: &Shared) -> Handled {
+    let Shared {
+        site,
+        stats,
+        stop,
+        hub,
+        cfg,
+    } = srv;
     let seq = stats.requests.fetch_add(1, Ordering::Relaxed) + 1;
-    let route_counter = match route_label(&req.target) {
+    let label = route_label(&req.target);
+    let route_counter = match label {
         "landing" => &stats.requests_landing,
         "search" => &stats.requests_search,
         "metrics" => &stats.requests_metrics,
@@ -508,21 +441,22 @@ pub(crate) fn handle_request(
 
     // The telemetry plane answers before the mounted site sees the
     // request. `/events` takes over the whole connection: it streams
-    // the hub until the server stops or the watcher hangs up.
-    if req.method == "GET" && route_label(&req.target) == "events" {
+    // the hub until the server stops or the watcher hangs up. A
+    // watcher's arrival is logged but not broadcast: n watchers dialing
+    // in would otherwise cost the others n² frames.
+    if req.method == "GET" && label == "events" {
         stats.responses_ok.fetch_add(1, Ordering::Relaxed);
         stats.record_request(seq, &req.target, &trace, 200);
-        publish_request_event(hub, seq, &req.target, &trace, 200);
         return Handled::EventStream;
     }
-    let mut resp = if req.method == "GET" && route_label(&req.target) == "metrics" {
+    let mut resp = if req.method == "GET" && label == "metrics" {
         Response::text(
             200,
             "OK",
             render_server_metrics(&snapshot_stats(stats), cfg.metrics.as_ref()),
         )
     } else {
-        route(site, req)
+        route(&**site, req)
     };
     if resp.drop_connection {
         // Injected drop: sever without writing a byte — the peer sees
@@ -546,118 +480,6 @@ pub(crate) fn handle_request(
     }
 }
 
-/// Decrements the open-connection gauge when a pool-mode connection's
-/// serve function returns, however it exits.
-struct OpenConnGuard<'a>(&'a AtomicU64);
-
-impl Drop for OpenConnGuard<'_> {
-    fn drop(&mut self) {
-        self.0.fetch_sub(1, Ordering::Relaxed);
-    }
-}
-
-/// Close a rejected connection without risking an RST: half-close the
-/// write side first, then drain whatever request bytes the peer already
-/// sent (briefly), so the kernel never discards our in-flight response
-/// over unread input. Shared by both serve modes' admission-cap paths.
-pub(crate) fn lingering_close(stream: TcpStream) {
-    let mut stream = stream;
-    let _ = stream.shutdown(std::net::Shutdown::Write);
-    let _ = stream.set_read_timeout(Some(Duration::from_millis(50)));
-    let mut tmp = [0u8; 1024];
-    while matches!(stream.read(&mut tmp), Ok(n) if n > 0) {}
-}
-
-/// Serve one connection until it closes, errs, times out idle, or the
-/// server shuts down.
-fn serve_connection(
-    stream: TcpStream,
-    site: &dyn SiteBehavior,
-    stats: &StatsInner,
-    stop: &AtomicBool,
-    hub: &EventHub,
-    cfg: &ServerConfig,
-) {
-    stats.connections.fetch_add(1, Ordering::Relaxed);
-    stats.open_connections.fetch_add(1, Ordering::Relaxed);
-    let _open = OpenConnGuard(&stats.open_connections);
-    let mut stream = stream;
-    if stream.set_nodelay(true).is_err() || stream.set_read_timeout(Some(IDLE_POLL)).is_err() {
-        return;
-    }
-    // Admission cap: this connection's own increment is included in the
-    // load, so strict `>` admits exactly `max_conns` concurrent peers.
-    if cfg.max_conns > 0 && stats.open_connections.load(Ordering::Relaxed) > cfg.max_conns as u64 {
-        stats.admission_rejects.fetch_add(1, Ordering::Relaxed);
-        let mut resp = Response::text(503, "Service Unavailable", "503 server at capacity".into());
-        resp.extra_headers.push(("Retry-After".into(), "1".into()));
-        write_and_count(&mut stream, &resp, false, false, cfg, stats);
-        lingering_close(stream);
-        return;
-    }
-    let mut buf: Vec<u8> = Vec::new();
-    let mut tmp = [0u8; 16 * 1024];
-    'conn: loop {
-        // Phase 1: wait for one complete request.
-        let deadline = Instant::now() + cfg.keep_alive_timeout;
-        let (req, consumed) = loop {
-            match parse_request(&buf) {
-                Ok(Some(rc)) => break rc,
-                Ok(None) => {}
-                Err(e) => {
-                    let (status, reason) = e.status();
-                    let resp = Response::text(status, reason, format!("{status} {e}"));
-                    write_and_count(&mut stream, &resp, false, false, cfg, stats);
-                    break 'conn;
-                }
-            }
-            // A quiet shutdown point: nothing (or only a partial request)
-            // buffered and the server is stopping.
-            if stop.load(Ordering::SeqCst) && buf.is_empty() {
-                break 'conn;
-            }
-            if Instant::now() >= deadline {
-                if !buf.is_empty() {
-                    let resp = Response::text(408, "Request Timeout", "408 request timeout".into());
-                    write_and_count(&mut stream, &resp, false, false, cfg, stats);
-                }
-                break 'conn;
-            }
-            match stream.read(&mut tmp) {
-                Ok(0) => break 'conn,
-                Ok(n) => {
-                    buf.extend_from_slice(&tmp[..n]);
-                    stats.bytes_in.fetch_add(n as u64, Ordering::Relaxed);
-                }
-                Err(e) if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut => {}
-                Err(e) if e.kind() == ErrorKind::Interrupted => {}
-                Err(_) => break 'conn,
-            }
-        };
-        buf.drain(..consumed);
-
-        // Phase 2: answer it.
-        match handle_request(&req, site, stats, stop, hub, cfg) {
-            Handled::Response {
-                resp,
-                keep_alive,
-                allow_chunked,
-            } => {
-                if !write_and_count(&mut stream, &resp, keep_alive, allow_chunked, cfg, stats)
-                    || !keep_alive
-                {
-                    break;
-                }
-            }
-            Handled::EventStream => {
-                stream_events(&mut stream, hub, stop, stats);
-                break;
-            }
-            Handled::Sever => break,
-        }
-    }
-}
-
 /// Coarse route class of a request target (for per-route counters).
 fn route_label(target: &str) -> &'static str {
     let path = target.split('?').next().unwrap_or("");
@@ -667,32 +489,6 @@ fn route_label(target: &str) -> &'static str {
         "/events" => "events",
         p if p.starts_with("/search") => "search",
         _ => "other",
-    }
-}
-
-/// Read the counters without a [`ServerHandle`] (the `/metrics` route
-/// runs inside a worker).
-fn snapshot_stats(stats: &StatsInner) -> ServerStats {
-    ServerStats {
-        connections: stats.connections.load(Ordering::Relaxed),
-        requests: stats.requests.load(Ordering::Relaxed),
-        responses_ok: stats.responses_ok.load(Ordering::Relaxed),
-        responses_client_error: stats.responses_client_error.load(Ordering::Relaxed),
-        responses_server_error: stats.responses_server_error.load(Ordering::Relaxed),
-        connections_dropped: stats.connections_dropped.load(Ordering::Relaxed),
-        bytes_out: stats.bytes_out.load(Ordering::Relaxed),
-        bytes_in: stats.bytes_in.load(Ordering::Relaxed),
-        requests_landing: stats.requests_landing.load(Ordering::Relaxed),
-        requests_search: stats.requests_search.load(Ordering::Relaxed),
-        requests_metrics: stats.requests_metrics.load(Ordering::Relaxed),
-        requests_events: stats.requests_events.load(Ordering::Relaxed),
-        requests_other: stats.requests_other.load(Ordering::Relaxed),
-        reactor_wakeups: stats.reactor_wakeups.load(Ordering::Relaxed),
-        reactor_ready_events: stats.reactor_ready_events.load(Ordering::Relaxed),
-        reactor_accepts: stats.reactor_accepts.load(Ordering::Relaxed),
-        admission_rejects: stats.admission_rejects.load(Ordering::Relaxed),
-        timers_fired: stats.timers_fired.load(Ordering::Relaxed),
-        open_connections: stats.open_connections.load(Ordering::Relaxed),
     }
 }
 
@@ -777,79 +573,6 @@ pub fn render_server_metrics(stats: &ServerStats, registry: Option<&MetricsRegis
     out
 }
 
-/// How often the `/events` stream emits a heartbeat comment while the
-/// hub is quiet (keeps dead watchers detectable and the stream warm).
-const EVENTS_HEARTBEAT_EVERY: u32 = 25;
-
-/// Stream the hub over `stream` as chunked `text/event-stream` until the
-/// server stops or the watcher hangs up.
-pub(crate) fn stream_events(
-    stream: &mut TcpStream,
-    hub: &EventHub,
-    stop: &AtomicBool,
-    stats: &StatsInner,
-) {
-    let head = "HTTP/1.1 200 OK\r\nContent-Type: text/event-stream\r\n\
-                Cache-Control: no-cache\r\nConnection: close\r\n\
-                Transfer-Encoding: chunked\r\n\r\n";
-    let mut written = 0u64;
-    if stream.write_all(head.as_bytes()).is_err() {
-        return;
-    }
-    written += head.len() as u64;
-    let rx = hub.subscribe();
-    // An opening comment flushes the headers through any buffering and
-    // tells the watcher the stream is live.
-    written += write_chunk(stream, ": hds event stream\n\n").unwrap_or(0);
-    let mut quiet = 0u32;
-    loop {
-        if stop.load(Ordering::SeqCst) {
-            break;
-        }
-        match rx.recv_timeout(IDLE_POLL) {
-            Ok(frame) => match write_chunk(stream, &frame) {
-                Ok(n) => {
-                    written += n;
-                    quiet = 0;
-                }
-                Err(_) => break,
-            },
-            Err(std::sync::mpsc::RecvTimeoutError::Timeout) => {
-                quiet += 1;
-                if quiet >= EVENTS_HEARTBEAT_EVERY {
-                    quiet = 0;
-                    match write_chunk(stream, ": hb\n\n") {
-                        Ok(n) => written += n,
-                        Err(_) => break,
-                    }
-                }
-            }
-            Err(std::sync::mpsc::RecvTimeoutError::Disconnected) => break,
-        }
-    }
-    // Deliver everything published before the stop landed: a watcher
-    // must see every event a local sink saw, shutdown races included.
-    while let Ok(frame) = rx.try_recv() {
-        match write_chunk(stream, &frame) {
-            Ok(n) => written += n,
-            Err(_) => break,
-        }
-    }
-    if stream.write_all(b"0\r\n\r\n").is_ok() {
-        written += 5;
-    }
-    stats.bytes_out.fetch_add(written, Ordering::Relaxed);
-}
-
-/// Write one chunked-transfer chunk carrying `text`; returns its framed
-/// size in bytes.
-fn write_chunk(stream: &mut TcpStream, text: &str) -> std::io::Result<u64> {
-    let frame = format!("{:X}\r\n{text}\r\n", text.len());
-    stream.write_all(frame.as_bytes())?;
-    stream.flush()?;
-    Ok(frame.len() as u64)
-}
-
 /// Method gate in front of the site.
 fn route(site: &dyn SiteBehavior, req: &Request) -> Response {
     if req.method != "GET" {
@@ -862,34 +585,4 @@ fn route(site: &dyn SiteBehavior, req: &Request) -> Response {
         return resp;
     }
     site.get(&req.target)
-}
-
-/// Write a response, bump the status-class and byte counters; `false` when
-/// the connection is no longer writable.
-fn write_and_count(
-    stream: &mut TcpStream,
-    resp: &Response,
-    keep_alive: bool,
-    allow_chunked: bool,
-    cfg: &ServerConfig,
-    stats: &StatsInner,
-) -> bool {
-    let counter = match resp.status {
-        200..=299 => &stats.responses_ok,
-        400..=499 => &stats.responses_client_error,
-        _ => &stats.responses_server_error,
-    };
-    counter.fetch_add(1, Ordering::Relaxed);
-    let chunk_threshold = if allow_chunked {
-        cfg.chunk_threshold
-    } else {
-        usize::MAX
-    };
-    match write_response(stream, resp, keep_alive, chunk_threshold) {
-        Ok(n) => {
-            stats.bytes_out.fetch_add(n as u64, Ordering::Relaxed);
-            true
-        }
-        Err(_) => false,
-    }
 }

@@ -1,6 +1,6 @@
 //! Admission cap (`ServerConfig::max_conns`): connections past the cap
 //! are answered `503 Service Unavailable` + `Retry-After` and closed,
-//! in both serve modes, while admitted connections keep working.
+//! while admitted connections keep working.
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -8,17 +8,16 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use hdsampler_model::FormInterface;
-use hdsampler_server::{HttpServer, ServeMode, ServerConfig, ServerHandle};
+use hdsampler_server::{HttpServer, ServerConfig, ServerHandle};
 use hdsampler_webform::LocalSite;
 use hdsampler_workload::figure1_db;
 
-fn capped(mode: ServeMode, max_conns: usize) -> ServerHandle {
+fn capped(max_conns: usize) -> ServerHandle {
     let db = figure1_db(2);
     let schema = Arc::new(db.schema().clone());
     let site = Arc::new(LocalSite::new(db, schema));
     HttpServer::serve(
         ServerConfig {
-            mode,
             max_conns,
             ..ServerConfig::default()
         },
@@ -66,8 +65,9 @@ fn read_to_close(stream: &mut TcpStream) -> String {
     out
 }
 
-fn over_cap_gets_503(mode: ServeMode) {
-    let server = capped(mode, 1);
+#[test]
+fn reactor_over_cap_connection_gets_503_retry_after() {
+    let server = capped(1);
     let addr = server.addr();
 
     // First connection: admitted, serves the landing page, stays open.
@@ -101,20 +101,9 @@ fn over_cap_gets_503(mode: ServeMode) {
     assert!(stats.admission_rejects >= 1, "rejects counted: {stats:?}");
 }
 
-#[cfg(target_os = "linux")]
-#[test]
-fn reactor_over_cap_connection_gets_503_retry_after() {
-    over_cap_gets_503(ServeMode::Reactor);
-}
-
-#[test]
-fn pool_over_cap_connection_gets_503_retry_after() {
-    over_cap_gets_503(ServeMode::Pool);
-}
-
 #[test]
 fn uncapped_default_admits_concurrent_connections() {
-    let server = capped(ServeMode::Pool, 0);
+    let server = capped(0);
     let addr = server.addr();
     let mut a = TcpStream::connect(addr).expect("dial a");
     let mut b = TcpStream::connect(addr).expect("dial b");

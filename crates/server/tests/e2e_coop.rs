@@ -11,8 +11,8 @@ use hdsampler_hidden_db::HiddenDb;
 use hdsampler_model::{FormInterface, Schema};
 use hdsampler_server::{Adversary, HttpServer, ServerConfig, ServerHandle};
 use hdsampler_webform::{
-    AsyncTransport as _, ChaosSpec, CoopDriver, FetchPoll, FleetConfig, HttpTransport, LocalSite,
-    SiteTask, Transport as _, WebFormInterface,
+    AsyncTransport as _, ChaosSpec, CoopDriver, FetchPoll, FleetConfig, HttpTransport,
+    LatencyTransport, LocalSite, SiteTask, Transport as _, WebFormInterface,
 };
 use hdsampler_workload::{DbConfig, VehiclesSpec, WorkloadSpec};
 
@@ -98,12 +98,10 @@ fn coop_sequences_over_tcp_match_per_walker_seeds() {
 #[test]
 fn hundreds_of_pipelined_walkers_on_many_connections() {
     // 256 walker machines, 64 TCP connections, one client thread: up to
-    // 256 requests in flight, pipelined 4-deep per connection. Before the
-    // epoll reactor this test was capped at 4 connections — one per
-    // default pool worker; 64 keep-alive sockets would have starved the
-    // thread-per-connection pool. The reactor (the default serve mode)
-    // multiplexes them all on per-core readiness loops, so the wide
-    // fan-out must sail through with zero server errors.
+    // 256 requests in flight, pipelined 4-deep per connection. The
+    // server multiplexes all 64 keep-alive sockets on per-core readiness
+    // loops, so the wide fan-out must sail through with zero server
+    // errors.
     let (server, schema, k) = serve(vehicles_db(99));
     let cfg = FleetConfig {
         walkers_per_site: 256,
@@ -221,59 +219,52 @@ fn dead_walker_threads_do_not_strand_sockets() {
 }
 
 #[test]
-fn reactor_and_pool_serves_are_sequence_identical() {
-    // The two serve modes share `handle_request` and `write_response`, so
-    // a seeded cooperative run must harvest byte-identical pages — the
-    // interchangeability guarantee that makes `--reactor` a safe default.
-    // Checked end-to-end with a schedule that has no timing freedom: a
-    // single walker on a single connection steps strictly sequentially
-    // (every submit depends on the previous response), so the full sample
-    // sequence is a pure function of the seeds and the server's bytes.
-    // Any reactor/pool divergence in what goes on the wire shows up as a
-    // diverged key sequence. (Racing walkers would reintroduce
-    // client-side scheduling nondeterminism and test nothing extra.)
-    let run = |mode: hdsampler_server::ServeMode| {
-        let db = vehicles_db(77);
-        let schema = Arc::new(db.schema().clone());
-        let k = db.result_limit();
-        let site = Arc::new(LocalSite::new(db, Arc::clone(&schema)));
-        let server = HttpServer::serve(
-            ServerConfig {
-                mode,
-                ..ServerConfig::default()
-            },
-            site,
-        )
-        .expect("bind loopback");
-        let cfg = FleetConfig {
-            walkers_per_site: 1,
-            target_per_site: 32,
-            seed: 31,
-            slider: 0.5,
-            ..FleetConfig::default()
-        };
-        let mut task = remote_task(&server, &schema, k);
-        let (report, details) = CoopDriver::new(cfg)
-            .with_connections(1)
-            .run_with_details(std::slice::from_mut(&mut task));
-        assert_eq!(report.sites[0].stopped, StopReason::TargetReached);
-        let stats = server.shutdown();
-        assert_eq!(stats.responses_server_error, 0);
-        (
-            report.sites[0].samples.keys(),
-            details[0].per_walker_keys.clone(),
-        )
+fn served_and_in_process_coop_runs_are_sequence_identical() {
+    // The served site must answer exactly what the in-process site
+    // answers: the same seeded cooperative run harvests identical sample
+    // sequences over `HttpTransport` against a live server and over
+    // `LatencyTransport<LocalSite>` with no socket at all. Checked with a
+    // schedule that has no timing freedom: a single walker on a single
+    // connection steps strictly sequentially (every submit depends on the
+    // previous response), so the full sample sequence is a pure function
+    // of the seeds and the pages. Any divergence in what the server puts
+    // on the wire shows up as a diverged key sequence. (Racing walkers
+    // would reintroduce client-side scheduling nondeterminism and test
+    // nothing extra.)
+    let cfg = FleetConfig {
+        walkers_per_site: 1,
+        target_per_site: 32,
+        seed: 31,
+        slider: 0.5,
+        ..FleetConfig::default()
     };
+    let driver = || CoopDriver::new(cfg.clone()).with_connections(1);
 
-    let (reactor_keys, reactor_walkers) = run(hdsampler_server::ServeMode::Reactor);
-    let (pool_keys, pool_walkers) = run(hdsampler_server::ServeMode::Pool);
+    let (server, schema, k) = serve(vehicles_db(77));
+    let mut served = remote_task(&server, &schema, k);
+    let (served_report, served_details) =
+        driver().run_with_details(std::slice::from_mut(&mut served));
+    let stats = server.shutdown();
+    assert_eq!(stats.responses_server_error, 0);
+
+    let db = vehicles_db(77);
+    let schema = Arc::new(db.schema().clone());
+    let wire = LatencyTransport::new(LocalSite::new(db, Arc::clone(&schema)), 0);
+    let mut in_process = SiteTask::new("in-process", WebFormInterface::new(wire, schema, k, false));
+    let (local_report, local_details) =
+        driver().run_with_details(std::slice::from_mut(&mut in_process));
+
+    for report in [&served_report, &local_report] {
+        assert_eq!(report.sites[0].stopped, StopReason::TargetReached);
+    }
     assert_eq!(
-        reactor_keys, pool_keys,
-        "fleet-order sample sequence diverged between serve modes"
+        served_report.sites[0].samples.keys(),
+        local_report.sites[0].samples.keys(),
+        "fleet-order sample sequence diverged between the served and in-process site"
     );
     assert_eq!(
-        reactor_walkers, pool_walkers,
-        "per-walker sequences diverged between serve modes"
+        served_details[0].per_walker_keys, local_details[0].per_walker_keys,
+        "per-walker sequences diverged between the served and in-process site"
     );
 }
 

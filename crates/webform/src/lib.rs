@@ -38,7 +38,7 @@
 //!   threaded driver would need hundreds of stacks;
 //! * [`reactor`] — the std-only epoll readiness wrapper both halves of
 //!   the real wire multiplex on: the client's single-`epoll_wait`
-//!   completion path and the server's event-driven serve mode;
+//!   completion path and the server's connection engine;
 //! * [`locator`] — [`SiteLocator`], the one-string site grammar
 //!   (`local:…`, `http://…`, `replay:…`);
 //! * [`connect`] — the [`ConnectorRegistry`] resolving locators to ready

@@ -4,7 +4,7 @@
 //! [`HttpTransport`](crate::httpc::HttpTransport) client blocks in one
 //! `epoll_wait` across every pipelined connection instead of a blocking
 //! read on the causally-earliest fetch, and the `hdsampler-server` crate
-//! runs its event-driven serve mode (a resumable per-connection state
+//! runs its connection engine (a resumable per-connection state
 //! machine, thread-per-core) over the same wrapper.
 //!
 //! The wrapper is dependency-free by design: the three `epoll` entry
@@ -14,7 +14,7 @@
 //! [`Epoll::new`] fails with `Unsupported` and
 //! [`reactor_supported`] returns `false` — callers fall back to their
 //! blocking paths (the client's deadline-bounded `complete`, the server's
-//! bounded thread pool).
+//! blocking connection driver).
 //!
 //! Level-triggered semantics throughout: an fd reported readable stays
 //! reported until drained, so a missed wakeup costs one extra `wait`
