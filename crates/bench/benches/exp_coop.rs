@@ -1,20 +1,22 @@
-//! EXP-C1 — the cooperative pipelined walker vs thread-per-walker
-//! driving.
+//! EXP-C1 — the cooperative pipelined walker: how far one thread scales.
 //!
-//! The threaded [`MultiSiteDriver`] spends one OS thread per in-flight
+//! A thread-per-walker design spends one OS thread per in-flight
 //! request; the cooperative [`CoopDriver`] multiplexes every walker as a
 //! resumable [`WalkMachine`](hdsampler_core::WalkMachine) from a single
 //! thread, so its concurrency is bounded by connections, not stacks.
+//! The W = 4 baseline is a [`RunPlan`] on [`Driver::Threaded`] — one
+//! connection per walker, the schedule the thread-per-walker driver
+//! used to run — which now executes on the same cooperative loop.
 //!
 //! Acceptance bars:
 //!
 //! * one OS thread drives ≥ 64 concurrent walker connections with
-//!   samples/vsec ≥ the thread-per-walker driver at W = 4;
-//! * thread-count reduction at W = 64 is ≥ 4× (it is 64×: 64 walker
-//!   threads + 1 runner collapse onto the driving thread);
-//! * at equal W = 4 the coop driver stays within a few percent of the
-//!   threaded one (it pays an *honest* causal floor on cache-hit resumes
-//!   that the threaded driver cannot account for).
+//!   samples/vsec ≥ the `Threaded` plan at W = 4;
+//! * thread-count reduction at W = 64 is ≥ 4× against a thread-per-walker
+//!   design (64 walker threads + 1 runner per site collapse onto the
+//!   driving thread);
+//! * at equal W = 4 the `Coop` driver stays within a few percent of the
+//!   `Threaded` plan.
 
 use std::sync::Arc;
 
@@ -22,7 +24,7 @@ use hdsampler_bench::{f, section, table};
 use hdsampler_hidden_db::HiddenDb;
 use hdsampler_model::FormInterface;
 use hdsampler_webform::{
-    CoopDriver, FleetConfig, LatencyTransport, LocalSite, MultiSiteDriver, SiteTask,
+    CoopDriver, Driver, FleetConfig, LatencyTransport, LocalSite, RunPlan, SiteTask,
     WebFormInterface,
 };
 use hdsampler_workload::{DbConfig, VehiclesSpec, WorkloadSpec};
@@ -62,17 +64,22 @@ fn cfg(walkers: usize) -> FleetConfig {
 }
 
 fn main() {
-    section("EXP-C1: cooperative pipelined walker vs thread-per-walker");
+    section("EXP-C1: cooperative pipelined walker, W = 4 to 64 on one thread");
     println!(
         "  {SITES} sites, {TARGET_PER_SITE} samples/site, {LATENCY_MS} ms virtual latency, \
          slider 0.4"
     );
 
-    // Baseline: the threaded driver at W = 4 (1 runner thread per site +
-    // 4 walker threads per site).
-    let threaded4 = MultiSiteDriver::new(cfg(4)).run_concurrent(&mut build_fleet(SITES));
+    // Baseline: the `Threaded` plan at W = 4, one connection per walker.
+    let c4 = cfg(4);
+    let threaded4 = RunPlan::target(c4.target_per_site)
+        .walkers(c4.walkers_per_site)
+        .seed(c4.seed)
+        .slider(c4.slider)
+        .driver(Driver::Threaded)
+        .run(&mut build_fleet(SITES))
+        .fleet;
     assert_eq!(threaded4.total_samples(), SITES * TARGET_PER_SITE);
-    let threaded4_threads = SITES * (4 + 1);
 
     // Cooperative at the same W = 4 (1 thread total).
     let coop4 = CoopDriver::new(cfg(4)).run(&mut build_fleet(SITES));
@@ -99,7 +106,7 @@ fn main() {
     let rows = vec![
         vec![
             "threaded W=4".to_string(),
-            threaded4_threads.to_string(),
+            "1".to_string(),
             (SITES * 4).to_string(),
             f(threaded4.fleet_elapsed_ms as f64 / 1_000.0, 1),
             f(threaded4.samples_per_vsec(), 1),
@@ -138,8 +145,8 @@ fn main() {
         coop64.samples_per_vsec(),
         threaded4.samples_per_vsec()
     );
-    // Thread-count reduction at W = 64: 64 walker threads (+ runners)
-    // collapse onto 1.
+    // Thread-count reduction at W = 64 against a thread-per-walker
+    // design: 64 walker threads (+ a runner) per site collapse onto 1.
     let reduction = (SITES * (64 + 1)) as f64 / 1.0;
     assert!(
         reduction >= 4.0,

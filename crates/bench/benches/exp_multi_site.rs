@@ -3,12 +3,13 @@
 //!
 //! The paper's cost model is round trips; PR 1 made per-probe CPU cheap
 //! enough that the wire dominates. This experiment measures what the
-//! per-connection clock model buys: the concurrent [`MultiSiteDriver`]
-//! overlaps every site's walkers' requests (fleet time = max over
-//! connections), while the serial baseline drives the same sites one
-//! after another on a single connection each (fleet time = sum over
-//! fetches). Per-site query budgets and the per-site shared history cache
-//! are active end-to-end.
+//! per-connection clock model buys: a [`RunPlan`] on
+//! [`Driver::Threaded`] overlaps every site's walkers' requests (fleet
+//! time = max over connections), while [`Driver::Serial`] drives the same
+//! sites one after another on a single connection each (fleet time = sum
+//! over fetches). Both run on the one cooperative scheduler. Per-site
+//! query budgets and the per-site shared history cache are active
+//! end-to-end.
 //!
 //! Expected shape: time-to-N-samples for the whole fleet is roughly flat
 //! in S for the concurrent driver and linear in S for the serial one —
@@ -21,7 +22,7 @@ use hdsampler_bench::{f, section, table};
 use hdsampler_hidden_db::HiddenDb;
 use hdsampler_model::FormInterface;
 use hdsampler_webform::{
-    FleetConfig, LatencyTransport, LocalSite, MultiSiteDriver, SiteTask, WebFormInterface,
+    Driver, FleetReport, LatencyTransport, LocalSite, RunPlan, SiteTask, WebFormInterface,
 };
 use hdsampler_workload::{DbConfig, VehiclesSpec, WorkloadSpec};
 
@@ -59,19 +60,21 @@ fn main() {
          {WALKERS_PER_SITE} walkers/site, budget {BUDGET_PER_SITE} fetches/site"
     );
 
-    let driver = MultiSiteDriver::new(FleetConfig {
-        walkers_per_site: WALKERS_PER_SITE,
-        target_per_site: TARGET_PER_SITE,
-        seed: 2009,
-        slider: 0.4,
-        ..FleetConfig::default()
-    });
+    let run = |driver: Driver, sites: usize| -> FleetReport {
+        RunPlan::target(TARGET_PER_SITE)
+            .walkers(WALKERS_PER_SITE)
+            .seed(2009)
+            .slider(0.4)
+            .driver(driver)
+            .run(&mut build_fleet(sites))
+            .fleet
+    };
 
     let mut rows = Vec::new();
     let mut speedup_at = Vec::new();
     for sites in [1usize, 4, 16] {
-        let serial = driver.run_serial(&mut build_fleet(sites));
-        let concurrent = driver.run_concurrent(&mut build_fleet(sites));
+        let serial = run(Driver::Serial, sites);
+        let concurrent = run(Driver::Threaded, sites);
         assert_eq!(serial.total_samples(), sites * TARGET_PER_SITE);
         assert_eq!(concurrent.total_samples(), sites * TARGET_PER_SITE);
         for report in [&serial, &concurrent] {

@@ -34,8 +34,8 @@ COMMON OPTIONS:
 
 OBSERVABILITY (sample, multi-site, serve):
   --trace <path>       journal trace events to JSONL — sample/multi-site:
-                       the run's span stream (full fidelity under --driver
-                       coop, accepted samples otherwise); serve: the
+                       the run's span stream (cache, wire, retry, stall,
+                       steal and sample events); serve: the
                        per-request log, written at graceful shutdown.
                        Seeded virtual-wire journals replay bit-identically
   --metrics <value>    sample/multi-site: loopback port for a live
@@ -82,19 +82,21 @@ multi-site:
                        local:, http:// and replay: legs in a single run;
                        replaces --sites/--latency/--jitter/--chaos/--remote
   --sites <S>          number of simulated sites                (default 4)
-  --walkers <W>        walker threads (connections) per site    (default 2)
+  --walkers <W>        walkers (connections) per site           (default 2)
   --latency <MS[,MS,...]>  per-request latency in ms; a comma list assigns
                        site i the i-th value, cycling           (default 100)
   --jitter <MS>        ± uniform jitter around each site's latency (default 0)
   --driver <concurrent|serial|both|coop>  driving mode          (default concurrent)
-                       coop: one thread multiplexes all sites' walkers over
-                       pipelined connections instead of W threads per site
+                       every mode multiplexes its walkers on one thread;
+                       concurrent: all sites at once, one connection per
+                       walker; serial: one site at a time, one walker;
+                       coop: concurrent plus --coop-conns and --steal
   --remote <addr[,addr,...]>  drive live servers (one site per address;
                        latency/jitter flags do not apply — the wire is real)
   --watch              re-render fleet-wide live histograms while the run
                        progresses
   --coop-conns <C>     with --driver coop: wire connections per site
-                       (default: 1/walker on the virtual wire, 4 on live
+                       (default: 1/walker on the virtual wire, 64 on live
                        servers)
   --chaos <spec>       make every simulated site adversarial: seeded faults
                        on the virtual wire (not valid with --remote — serve

@@ -780,7 +780,7 @@ fn drive_fleet<T, B>(
     telemetry: &TelemetryOpts,
 ) -> Result<(), String>
 where
-    T: Transport + AsyncTransport + Clocked + Send,
+    T: Transport + AsyncTransport + Clocked,
     B: Fn() -> Result<Vec<SiteTask<T>>, String>,
 {
     // Build one fleet up front: its schema validates the --bind scope
@@ -1215,10 +1215,10 @@ fn sample(
     if let Some(log) = task.l2() {
         println!("l2 history: persisted under `{}`", log.dir().display());
     }
-    if let Some(details) = &report.details {
+    if matches!(driver, Driver::Coop { .. }) {
         println!(
             "coop: {} walker machine(s) over {} pipelined connection(s), {} history hits",
-            walker_count, details[0].connections, site.history_hits
+            walker_count, report.details[0].connections, site.history_hits
         );
     }
     check_site_stopped(site)?;

@@ -11,7 +11,10 @@
 //! surfacing progress through an event callback (the AJAX live-update path
 //! of the original demo) and honouring a shared kill switch. A parallel
 //! variant ([`SamplingSession::run_parallel`]) fans walkers out over
-//! threads that share one interface, budget and history cache.
+//! threads that share one interface, budget and history cache; it takes
+//! no sinks and exists to measure shared-cache contention. Fleets of
+//! sites and walkers run on the webform crate's cooperative scheduler
+//! instead.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -65,7 +68,6 @@ pub struct SessionOutcome {
 /// streaming [`SampleSink`] observers.
 pub struct SamplingSession {
     target: usize,
-    site: usize,
     kill: Arc<AtomicBool>,
 }
 
@@ -74,16 +76,8 @@ impl SamplingSession {
     pub fn new(target: usize) -> Self {
         SamplingSession {
             target,
-            site: 0,
             kill: Arc::new(AtomicBool::new(false)),
         }
-    }
-
-    /// Label every emitted [`SampleEvent`] with this site index (fleet
-    /// drivers run one session per site; default 0).
-    pub fn with_site(mut self, site: usize) -> Self {
-        self.site = site;
-        self
     }
 
     /// Handle that stops the session from another thread (the demo UI's
@@ -127,7 +121,7 @@ impl SamplingSession {
                         sinks,
                         &SampleEvent {
                             sample: &s,
-                            site: self.site,
+                            site: 0,
                             walker: 0,
                             collected,
                             target: self.target,
@@ -172,37 +166,8 @@ impl SamplingSession {
         S: Sampler,
         F: Fn(usize) -> S + Sync,
     {
-        self.run_parallel_observed(workers, make_sampler, &mut [])
-    }
-
-    /// [`SamplingSession::run_parallel`] with streaming observation: each
-    /// sink is [`fork`](SampleSink::fork)ed once per worker, a worker's
-    /// accepted samples are observed into its fork (in that worker's
-    /// production order, as the collector admits them to the shared set),
-    /// and the forks are [`merge`](SampleSink::merge)d back in worker
-    /// order on join. As in the single-threaded path, the sinks' final
-    /// state describes exactly the collected sample set — overshoot
-    /// samples a worker produced after the target was met are observed by
-    /// no sink.
-    pub fn run_parallel_observed<S, F>(
-        &self,
-        workers: usize,
-        make_sampler: F,
-        sinks: &mut [&mut dyn SampleSink],
-    ) -> SessionOutcome
-    where
-        S: Sampler,
-        F: Fn(usize) -> S + Sync,
-    {
         assert!(workers >= 1, "need at least one worker");
-        let (tx, rx) =
-            crossbeam::channel::unbounded::<(usize, Result<Sample, SamplerError>, SamplerStats)>();
-        // One fork per (sink, worker); merged back in worker order after
-        // the scope joins.
-        let mut forks: Vec<Vec<Box<dyn SampleSink>>> = sinks
-            .iter()
-            .map(|s| (0..workers).map(|_| s.fork()).collect())
-            .collect();
+        let (tx, rx) = crossbeam::channel::unbounded::<Result<Sample, SamplerError>>();
         let kill = &self.kill;
         // Run-local stop flag. Workers are told to wind down through this,
         // *never* by storing into the user-facing kill switch: the session
@@ -230,7 +195,7 @@ impl SamplingSession {
                         }
                         let out = sampler.next_sample();
                         let is_err = out.is_err();
-                        if tx.send((w, out, sampler.stats())).is_err() || is_err {
+                        if tx.send(out).is_err() || is_err {
                             break;
                         }
                     }
@@ -242,27 +207,12 @@ impl SamplingSession {
 
             while samples.len() < target {
                 match rx.recv() {
-                    Ok((w, Ok(s), stats)) => {
-                        let collected = samples.len() + 1;
-                        let ev = SampleEvent {
-                            sample: &s,
-                            site: self.site,
-                            walker: w,
-                            collected,
-                            target,
-                            queries: stats.queries_issued,
-                            requests: stats.requests,
-                        };
-                        for worker_forks in forks.iter_mut() {
-                            worker_forks[w].observe(&ev);
-                        }
-                        samples.push(s);
-                    }
-                    Ok((_, Err(SamplerError::BudgetExhausted { .. }), _)) => {
+                    Ok(Ok(s)) => samples.push(s),
+                    Ok(Err(SamplerError::BudgetExhausted { .. })) => {
                         reason = StopReason::BudgetExhausted;
                         break;
                     }
-                    Ok((_, Err(e), _)) => {
+                    Ok(Err(e)) => {
                         reason = StopReason::Failed(e);
                         break;
                     }
@@ -286,12 +236,6 @@ impl SamplingSession {
             while rx.try_recv().is_ok() {}
         })
         .expect("worker panicked");
-
-        for (sink, worker_forks) in sinks.iter_mut().zip(forks) {
-            for fork in worker_forks {
-                sink.merge(fork);
-            }
-        }
 
         SessionOutcome {
             samples,
@@ -421,7 +365,7 @@ mod tests {
         use crate::sink::{SampleSetSink, SampleSink as _};
         let db = figure1_db(1);
         let mut s = HdsSampler::new(DirectExecutor::new(&db), SamplerConfig::seeded(4)).unwrap();
-        let session = SamplingSession::new(30).with_site(7);
+        let session = SamplingSession::new(30);
         let mut collector = SampleSetSink::new();
         let mut events = Vec::new();
         let out = {
@@ -451,36 +395,6 @@ mod tests {
         let forked = collector.fork();
         collector.merge(forked);
         assert_eq!(collector.set().len(), 30);
-    }
-
-    #[test]
-    fn parallel_observed_sinks_describe_the_collected_set() {
-        use crate::history::CachingExecutor;
-        use crate::sink::{SampleSetSink, SampleSink};
-        let db = figure1_db(1);
-        let exec = Arc::new(CachingExecutor::new(&db));
-        let session = SamplingSession::new(40);
-        let mut collector = SampleSetSink::new();
-        let out = {
-            let mut sinks: Vec<&mut dyn SampleSink> = vec![&mut collector];
-            session.run_parallel_observed(
-                3,
-                |w| {
-                    HdsSampler::new(Arc::clone(&exec), SamplerConfig::seeded(40 + w as u64))
-                        .expect("valid config")
-                },
-                &mut sinks,
-            )
-        };
-        assert_eq!(out.reason, StopReason::TargetReached);
-        // Same multiset of samples: merge groups per worker, so only the
-        // (key-sorted) contents are comparable, not the interleaving.
-        let mut observed = collector.set().keys();
-        let mut collected = out.samples.keys();
-        observed.sort_unstable();
-        collected.sort_unstable();
-        assert_eq!(observed, collected);
-        assert_eq!(collector.set().len(), 40, "no overshoot reaches the sink");
     }
 
     #[test]

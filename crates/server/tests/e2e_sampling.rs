@@ -10,9 +10,7 @@ use hdsampler_core::{DirectExecutor, HdsSampler, Sampler, SamplerConfig};
 use hdsampler_hidden_db::HiddenDb;
 use hdsampler_model::{FormInterface, Schema};
 use hdsampler_server::{HttpServer, ServerConfig, ServerHandle};
-use hdsampler_webform::{
-    FleetConfig, HttpTransport, LocalSite, MultiSiteDriver, SiteTask, WebFormInterface,
-};
+use hdsampler_webform::{Driver, HttpTransport, LocalSite, RunPlan, SiteTask, WebFormInterface};
 use hdsampler_workload::{DbConfig, VehiclesSpec, WorkloadSpec};
 
 fn vehicles_db(seed: u64, budget: Option<u64>) -> HiddenDb {
@@ -86,36 +84,51 @@ fn sampling_over_loopback_tcp_matches_in_process() {
 
 #[test]
 fn multi_site_driver_samples_live_servers() {
-    // Two live servers, each its own data; the unmodified MultiSiteDriver
-    // drives both over real TCP.
+    // Two live servers, each its own data; one plan drives both over
+    // real TCP, all sites at once and then one site at a time.
     let (s0, schema, k) = serve(vehicles_db(40, None));
     let (s1, _, _) = serve(vehicles_db(41, None));
-    let mut tasks: Vec<SiteTask<HttpTransport>> = [&s0, &s1]
-        .iter()
-        .enumerate()
-        .map(|(i, s)| {
-            SiteTask::new(
-                format!("live-{i}"),
-                WebFormInterface::new(
-                    HttpTransport::new(s.addr().to_string()),
-                    Arc::clone(&schema),
-                    k,
-                    false,
-                ),
-            )
-        })
-        .collect();
-    let driver = MultiSiteDriver::new(FleetConfig {
-        walkers_per_site: 2,
-        target_per_site: 15,
-        seed: 5,
-        ..FleetConfig::default()
-    });
-    let report = driver.run_concurrent(&mut tasks);
+    let iface = |s: &ServerHandle| {
+        WebFormInterface::new(
+            HttpTransport::new(s.addr().to_string()),
+            Arc::clone(&schema),
+            k,
+            false,
+        )
+    };
+    let tasks = || -> Vec<SiteTask<HttpTransport>> {
+        [&s0, &s1]
+            .iter()
+            .enumerate()
+            .map(|(i, s)| SiteTask::new(format!("live-{i}"), iface(s)))
+            .collect()
+    };
+    let plan = |driver| RunPlan::target(15).walkers(2).seed(5).driver(driver);
+    let report = plan(Driver::Threaded).run(&mut tasks()).fleet;
     assert_eq!(report.total_samples(), 30);
+    assert!(report.concurrent);
     for site in &report.sites {
         assert_eq!(site.stopped, hdsampler_core::StopReason::TargetReached);
         assert!(site.queries_issued > 0);
+    }
+
+    // Serial: each site walks exactly what a standalone blocking sampler
+    // on the same seed walks against the same server.
+    let serial = plan(Driver::Serial).run(&mut tasks()).fleet;
+    assert!(!serial.concurrent);
+    assert_eq!(serial.total_samples(), 30);
+    let cfg = plan(Driver::Serial).fleet_config();
+    for (i, (site, server)) in serial.sites.iter().zip([&s0, &s1]).enumerate() {
+        let reference_iface = iface(server);
+        let mut reference = HdsSampler::new(
+            hdsampler_core::CachingExecutor::new(&reference_iface),
+            cfg.walker_config(i, 0),
+        )
+        .unwrap();
+        let expect: Vec<u64> = (0..site.samples.len())
+            .map(|_| reference.next_sample().unwrap().row.key)
+            .collect();
+        assert_eq!(site.samples.keys(), expect, "serial site {i} diverged");
     }
     let st0 = s0.shutdown();
     let st1 = s1.shutdown();

@@ -13,12 +13,12 @@
 //! Two faces share this machinery (see
 //! [`LatencyTransport`](crate::transport::LatencyTransport)):
 //!
-//! * the blocking [`Transport`](crate::transport::Transport) face binds one
-//!   connection per OS thread, so an unmodified sampler stack running on W
-//!   walker threads gets W overlapping connections for free;
+//! * the blocking [`Transport`](crate::transport::Transport) face rides
+//!   one connection, so an unmodified blocking sampler is billed like a
+//!   single keep-alive client;
 //! * the [`AsyncTransport`] face hands out explicit [`ConnId`]s, letting a
 //!   single thread pipeline several requests and harvest completions in
-//!   any order.
+//!   any order — how the cooperative driver overlaps W walkers.
 
 use hdsampler_model::InterfaceError;
 use parking_lot::Mutex;

@@ -34,8 +34,7 @@
 //! by the cooperative driver's parked-walker backoff.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
-use std::thread::ThreadId;
+use std::sync::{Arc, OnceLock};
 
 use hdsampler_model::InterfaceError;
 use parking_lot::Mutex;
@@ -346,7 +345,7 @@ pub fn rewrite_count_banner(page: &str, factor: f64) -> (String, bool) {
 /// site's query budget is only charged for requests actually served.
 ///
 /// Both transport faces are implemented: blocking [`Transport::fetch`]
-/// (one connection per OS thread) and the poll/completion
+/// (one connection, opened on first use) and the poll/completion
 /// [`AsyncTransport`] for the cooperative driver.
 #[derive(Debug)]
 pub struct ChaosTransport<T> {
@@ -355,7 +354,8 @@ pub struct ChaosTransport<T> {
     /// Global request index: position in the fault schedule.
     requests: AtomicU64,
     clocks: ConnClocks,
-    by_thread: Mutex<HashMap<ThreadId, ConnId>>,
+    /// The blocking face's connection, opened on first use.
+    blocking: OnceLock<ConnId>,
     in_flight: Mutex<HashMap<u64, Result<String, InterfaceError>>>,
     next_fetch: AtomicU64,
     throttles: AtomicU64,
@@ -373,7 +373,7 @@ impl<T: Transport> ChaosTransport<T> {
             spec,
             requests: AtomicU64::new(0),
             clocks: ConnClocks::default(),
-            by_thread: Mutex::new(HashMap::new()),
+            blocking: OnceLock::new(),
             in_flight: Mutex::new(HashMap::new()),
             next_fetch: AtomicU64::new(0),
             throttles: AtomicU64::new(0),
@@ -415,10 +415,8 @@ impl<T: Transport> ChaosTransport<T> {
         self.clocks.connections()
     }
 
-    fn thread_conn(&self) -> ConnId {
-        let tid = std::thread::current().id();
-        let mut map = self.by_thread.lock();
-        *map.entry(tid).or_insert_with(|| self.clocks.connect())
+    fn blocking_conn(&self) -> ConnId {
+        *self.blocking.get_or_init(|| self.clocks.connect())
     }
 
     /// Serve (or fault) one request and record its chaos accounting.
@@ -463,15 +461,15 @@ impl<T: Transport> ChaosTransport<T> {
 
 impl<T: Transport> Transport for ChaosTransport<T> {
     fn fetch(&self, path: &str) -> Result<String, InterfaceError> {
-        let conn = self.thread_conn();
+        let conn = self.blocking_conn();
         let handle = AsyncTransport::submit(self, conn, path);
         AsyncTransport::complete(self, handle)
     }
 
     fn backoff(&self, ms: u64) {
-        // The wire is virtual: waiting out a backoff advances the calling
-        // thread's connection clock instead of sleeping.
-        let conn = self.thread_conn();
+        // The wire is virtual: waiting out a backoff advances the blocking
+        // face's connection clock instead of sleeping.
+        let conn = self.blocking_conn();
         let now = self.clocks.observed(conn);
         self.clocks.advance_to(conn, now + ms);
     }

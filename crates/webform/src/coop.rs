@@ -1,13 +1,15 @@
-//! [`CoopDriver`]: one OS thread, hundreds of in-flight form submissions.
+//! [`CoopDriver`]: the client's one scheduler — one OS thread, hundreds
+//! of in-flight form submissions.
 //!
-//! The threaded [`MultiSiteDriver`](crate::driver::MultiSiteDriver) buys
-//! request overlap by spending one OS thread per walker — each blocking
-//! [`Transport::fetch`] parks a whole stack while its single request rides
-//! the wire. That is the wrong currency for a scraper whose cost model is
-//! round trips: at fleet scale the interesting number is how many
-//! submissions are in flight, and threads cap it at "how many stacks fit".
+//! A scraper's cost model is round trips: at fleet scale the interesting
+//! number is how many submissions are in flight, not how many stacks
+//! fit. Every [`RunPlan`](crate::plan::RunPlan) driver therefore runs
+//! here — [`Driver::Threaded`](crate::plan::Driver::Threaded) is this
+//! loop with one connection per walker, and
+//! [`Driver::Serial`](crate::plan::Driver::Serial) is this loop admitting
+//! one site at a time.
 //!
-//! This driver multiplexes instead. Every walker is a
+//! The driver multiplexes. Every walker is a
 //! [`WalkMachine`](hdsampler_core::WalkMachine) — the HIDDEN-DB-SAMPLER
 //! walk as a resumable state machine — parked whenever its next query is
 //! on the wire:
@@ -28,9 +30,10 @@
 //! it — virtual wires would otherwise bill time-travelling walks.
 //!
 //! Seed for seed, walker (s, w) produces the *identical* sample sequence
-//! under this driver and under the thread-per-walker driver: both run the
-//! same machine over the same [`FleetConfig::walker_config`] seeds, and
-//! the history cache answers are semantically equal to the wire's.
+//! under this driver and under a standalone blocking
+//! [`HdsSampler`](hdsampler_core::HdsSampler): both run the same machine
+//! over the same [`FleetConfig::walker_config`] seeds, and the history
+//! cache answers are semantically equal to the wire's.
 //!
 //! ## Adversarial sites: backoff and work-stealing
 //!
@@ -143,8 +146,9 @@ struct Harvested {
 #[derive(Debug)]
 pub struct CoopSiteDetail {
     /// Each walker's sample keys in production order — deterministic per
-    /// (seed, site, walker), and identical to what the same walker
-    /// produces under the thread-per-walker driver.
+    /// (seed, site, walker), and identical to what a standalone
+    /// [`HdsSampler`](hdsampler_core::HdsSampler) on the same
+    /// [`FleetConfig::walker_config`] seed produces.
     pub per_walker_keys: Vec<Vec<u64>>,
     /// Wire connections the site's walkers shared.
     pub connections: usize,
@@ -187,6 +191,7 @@ pub struct CoopDriver {
     cfg: FleetConfig,
     conns_per_site: Option<usize>,
     steal: bool,
+    serial: bool,
 }
 
 impl CoopDriver {
@@ -197,6 +202,7 @@ impl CoopDriver {
             cfg,
             conns_per_site: None,
             steal: false,
+            serial: false,
         }
     }
 
@@ -216,6 +222,17 @@ impl CoopDriver {
         self
     }
 
+    /// Admit sites one at a time: site `i + 1` starts only once site `i`
+    /// has stopped. Each site keeps its own index (walker seeds stay
+    /// [`FleetConfig::walker_config`]`(i, w)`, events stay labelled site
+    /// `i`), the trace's span ids run on across sites, and the fleet
+    /// report is serial: elapsed time sums over sites, `concurrent` is
+    /// `false`.
+    pub(crate) fn serial(mut self) -> Self {
+        self.serial = true;
+        self
+    }
+
     /// Share `conns` wire connections per site among the walkers
     /// (round-robin). Fewer connections than walkers pipelines several
     /// requests per connection — HTTP/1.1 FIFO on real wires, serialized
@@ -231,7 +248,7 @@ impl CoopDriver {
     where
         T: Transport + AsyncTransport + Clocked,
     {
-        self.run_observed(sites, &mut []).0
+        self.run_with_details(sites).0
     }
 
     /// [`CoopDriver::run`], also returning per-walker detail.
@@ -242,33 +259,20 @@ impl CoopDriver {
     where
         T: Transport + AsyncTransport + Clocked,
     {
-        self.run_observed(sites, &mut [])
+        self.run_traced(sites, &mut [], &mut [])
     }
 
-    /// [`CoopDriver::run`] with streaming observation. Per-site
-    /// [`SiteTask`] sinks observe their site's samples in acceptance
-    /// order; `run_sinks` observe every site's samples in the fleet's
-    /// global completion order. The driver is single-threaded, so the
-    /// run-level sinks are observed directly — no forking.
-    pub fn run_observed<T>(
-        &self,
-        sites: &mut [SiteTask<T>],
-        run_sinks: &mut [&mut dyn SampleSink],
-    ) -> (FleetReport, Vec<CoopSiteDetail>)
-    where
-        T: Transport + AsyncTransport + Clocked,
-    {
-        self.run_traced(sites, run_sinks, &mut [])
-    }
-
-    /// [`CoopDriver::run_observed`], additionally emitting a
-    /// [`TraceEvent`] stream into `trace_sinks`: cache hit/miss
-    /// classifications, wire submit/complete spans with their
-    /// queue/service split, retry backoffs, stall resolutions and
-    /// work-steals — every timestamp a virtual-clock reading, so a
-    /// seeded virtual-wire run traces bit-identically. With no trace
-    /// sinks attached no event is even constructed, and the sample
-    /// sequence is identical either way.
+    /// [`CoopDriver::run_with_details`] with streaming observation and a
+    /// [`TraceEvent`] stream. Per-site [`SiteTask`] sinks observe their
+    /// site's samples in acceptance order; `run_sinks` observe every
+    /// site's samples in the fleet's global completion order (the driver
+    /// is single-threaded, so they are observed directly — no forking).
+    /// `trace_sinks` receive cache hit/miss classifications, wire
+    /// submit/complete spans with their queue/service split, retry
+    /// backoffs, stall resolutions and work-steals — every timestamp a
+    /// virtual-clock reading, so a seeded virtual-wire run traces
+    /// bit-identically. With no trace sinks attached no event is even
+    /// constructed, and the sample sequence is identical either way.
     pub fn run_traced<T>(
         &self,
         sites: &mut [SiteTask<T>],
@@ -343,26 +347,33 @@ impl CoopDriver {
             })
             .collect();
 
-        // Kick-off: run every machine until it parks on the wire (or the
-        // site finishes straight from history).
-        for st in &mut states {
-            for wix in 0..st.walkers.len() {
-                if st.stopped.is_some() {
-                    break;
-                }
-                let step = st.walkers[wix].machine.step();
-                self.advance(st, wix, step, run_sinks, &mut tracer);
-            }
-        }
-
         let mut stall = StallTracker {
             key: None,
             waited_ms: 0,
         };
+        // Sites `..admitted` are live. Concurrent runs admit the whole
+        // fleet at once; serial runs admit the next site only when every
+        // admitted one has stopped.
+        let mut admitted = 0;
         loop {
-            let mut all_done = true;
+            while admitted < states.len()
+                && (!self.serial || states[..admitted].iter().all(|st| st.stopped.is_some()))
+            {
+                // Kick-off: run every machine until it parks on the wire
+                // (or the site finishes straight from history).
+                let st = &mut states[admitted];
+                for wix in 0..st.walkers.len() {
+                    if st.stopped.is_some() {
+                        break;
+                    }
+                    let step = st.walkers[wix].machine.step();
+                    self.advance(st, wix, step, run_sinks, &mut tracer);
+                }
+                admitted += 1;
+            }
+            let mut all_done = admitted == states.len();
             let mut progress = false;
-            for st in &mut states {
+            for st in &mut states[..admitted] {
                 if st.stopped.is_none() {
                     progress |= self.harvest(st, run_sinks, &mut tracer);
                 }
@@ -372,7 +383,7 @@ impl CoopDriver {
                 break;
             }
             if self.steal {
-                self.rebalance(&mut states, run_sinks, &mut tracer);
+                self.rebalance(&mut states[..admitted], run_sinks, &mut tracer);
             }
             if progress {
                 stall.reset();
@@ -381,7 +392,7 @@ impl CoopDriver {
                 // reactor), block on (real wire without one) or advance
                 // to (virtual wire) the earliest outstanding completion,
                 // keeping the fleet in causal order.
-                self.force_earliest(&mut states, run_sinks, &mut tracer, &mut stall);
+                self.force_earliest(&mut states[..admitted], run_sinks, &mut tracer, &mut stall);
             }
         }
 
@@ -420,12 +431,17 @@ impl CoopDriver {
                 history: st.exec.history_stats(),
             });
         }
-        let fleet_elapsed_ms = reports.iter().map(|r| r.elapsed_ms).max().unwrap_or(0);
+        let elapsed = reports.iter().map(|r| r.elapsed_ms);
+        let fleet_elapsed_ms = if self.serial {
+            elapsed.sum()
+        } else {
+            elapsed.max().unwrap_or(0)
+        };
         (
             FleetReport {
                 sites: reports,
                 fleet_elapsed_ms,
-                concurrent: true,
+                concurrent: !self.serial,
             },
             details,
         )
@@ -1199,30 +1215,6 @@ mod tests {
     }
 
     #[test]
-    fn one_thread_matches_threaded_driver_throughput_at_equal_walkers() {
-        let cfg = FleetConfig {
-            walkers_per_site: 4,
-            target_per_site: 60,
-            seed: 21,
-            slider: 0.3,
-            ..FleetConfig::default()
-        };
-        let threaded = MultiSiteDriver::new(cfg.clone())
-            .run_concurrent(&mut [vehicles_task("t", 9, 100, None)]);
-        let coop = CoopDriver::new(cfg).run(&mut [vehicles_task("c", 9, 100, None)]);
-        assert_eq!(threaded.total_samples(), coop.total_samples());
-        // The cooperative driver pays an honest causal floor on cache-hit
-        // resumes that the threaded driver cannot account; parity within
-        // 25% (it is usually well within a few percent).
-        assert!(
-            coop.samples_per_vsec() >= threaded.samples_per_vsec() * 0.75,
-            "coop {:.1} smp/vs vs threaded {:.1} smp/vs",
-            coop.samples_per_vsec(),
-            threaded.samples_per_vsec()
-        );
-    }
-
-    #[test]
     fn budget_exhaustion_stops_a_site_with_partial_results() {
         let cfg = FleetConfig {
             walkers_per_site: 4,
@@ -1277,8 +1269,6 @@ mod tests {
         // All 200 samples in far fewer round trips than walks.
         assert!(site.queries_issued < 100);
     }
-
-    use crate::driver::MultiSiteDriver;
 
     fn chaos_task(
         name: &str,

@@ -1,14 +1,14 @@
-//! [`RunPlan`]: one front door for every execution path.
+//! [`RunPlan`]: one front door, one scheduler.
 //!
-//! PRs past grew four ways to run a sampling fleet —
-//! [`SamplingSession::run`](hdsampler_core::SamplingSession::run) and its
-//! parallel variant, [`MultiSiteDriver`]'s concurrent/serial modes, and
-//! the cooperative [`CoopDriver`] — each with its own config plumbing and
-//! report shape. [`RunPlan`] normalizes them: one builder describing
-//! *what* to run (target, walkers, seed, slider, scope), *how* to run it
-//! ([`Driver`]), and *who watches* (attached
-//! [`SampleSink`](hdsampler_core::SampleSink)s observing every accepted
-//! sample live), returning one [`RunReport`] whichever driver executed.
+//! One builder describes *what* to run (target, walkers, seed, slider,
+//! scope), *how* to run it ([`Driver`]), and *who watches* (attached
+//! [`SampleSink`]s observing every accepted sample live, and
+//! [`TraceSink`]s journaling the run), returning one [`RunReport`].
+//! Every [`Driver`] executes on the cooperative [`CoopDriver`] in one
+//! code path — the variants only choose how many connections each
+//! site's walkers share and whether sites run at once or one after
+//! another — so every driver emits the same full trace stream and
+//! walker (s, w) walks the same seeded sequence under each.
 //!
 //! ```no_run
 //! # use hdsampler_webform::{RunPlan, Driver, SiteTask, LatencyTransport, LocalSite};
@@ -29,48 +29,49 @@
 
 use std::sync::Arc;
 
-use hdsampler_core::{trace_all, SampleSink, SampleTraceSink, TraceSink};
+use hdsampler_core::{SampleSink, TraceSink};
 use hdsampler_model::{ConjunctiveQuery, Schema};
 
 use crate::adapter::WebFormInterface;
 use crate::aio::AsyncTransport;
 use crate::connect::{BoxTransport, ConnectOptions, ConnectorRegistry};
 use crate::coop::{CoopDriver, CoopSiteDetail};
-use crate::driver::{FleetConfig, FleetReport, MultiSiteDriver, SiteReport, SiteTask};
+use crate::driver::{FleetConfig, FleetReport, SiteReport, SiteTask};
 use crate::httpc::HttpTransport;
 use crate::locator::SiteLocator;
 use crate::transport::{Clocked, Transport};
 
-/// Which execution engine a [`RunPlan`] uses.
+/// How a [`RunPlan`] schedules its walkers. Every variant runs on the
+/// one cooperative scheduler, [`CoopDriver`], from the calling thread.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Driver {
-    /// Thread-per-walker: one runner thread per site, W walker threads
-    /// per runner ([`MultiSiteDriver::run_concurrent`]). With one site
-    /// and one walker this is the plain blocking session.
+    /// Every walker has its own connection and all sites run at once —
+    /// the same schedule as `Coop { conns: None }` without stealing.
+    /// With one site and one walker this walks exactly what a blocking
+    /// [`HdsSampler`](hdsampler_core::HdsSampler) session walks.
     Threaded,
-    /// The serial baseline: sites one after another, one walker each
-    /// ([`MultiSiteDriver::run_serial`]).
+    /// The serial baseline: sites admitted one after another, one walker
+    /// each; fleet time sums over sites.
     Serial,
-    /// Cooperative: one OS thread multiplexing every site's walker
-    /// machines over `conns` pipelined connections per site (`None` =
-    /// one connection per walker) — [`CoopDriver`].
+    /// Every site's walker machines share `conns` pipelined connections
+    /// per site (`None` = one connection per walker); the only variant
+    /// that honours [`RunPlan::steal`].
     Coop {
         /// Wire connections per site the walkers share.
         conns: Option<usize>,
     },
 }
 
-/// Outcome of a [`RunPlan`]: the fleet report plus which driver ran and,
-/// for the cooperative driver, its per-walker detail.
+/// Outcome of a [`RunPlan`]: the fleet report plus which driver ran and
+/// its per-walker detail.
 #[derive(Debug)]
 pub struct RunReport {
-    /// Which engine executed the plan.
+    /// Which driver the plan ran.
     pub driver: Driver,
     /// Per-site outcomes and fleet clocks.
     pub fleet: FleetReport,
-    /// Per-walker sequences and connection counts (cooperative driver
-    /// only).
-    pub details: Option<Vec<CoopSiteDetail>>,
+    /// Per-walker sequences and connection counts, one entry per site.
+    pub details: Vec<CoopSiteDetail>,
 }
 
 impl RunReport {
@@ -120,8 +121,7 @@ impl<'a> RunPlan<'a> {
         }
     }
 
-    /// Walkers per site (threads for [`Driver::Threaded`], machines for
-    /// [`Driver::Coop`]; ignored by [`Driver::Serial`], which is
+    /// Walker machines per site (ignored by [`Driver::Serial`], which is
     /// single-walker by definition).
     pub fn walkers(mut self, walkers: usize) -> Self {
         self.walkers = walkers.max(1);
@@ -183,14 +183,10 @@ impl<'a> RunPlan<'a> {
         self
     }
 
-    /// Attach a [`TraceSink`] observing the run's trace events.
-    /// Repeatable; attaching none keeps tracing off (no events are even
-    /// constructed).
-    ///
-    /// Fidelity depends on the driver: the cooperative driver emits the
-    /// full span stream (cache, wire, retry, stall, steal, sample); the
-    /// threaded and serial drivers bridge accepted-sample events only,
-    /// via [`SampleTraceSink`], without touching their hot paths.
+    /// Attach a [`TraceSink`] observing the run's trace events — the full
+    /// span stream (cache, wire, retry, stall, steal, sample) under every
+    /// driver. Repeatable; attaching none keeps tracing off (no events
+    /// are even constructed).
     pub fn attach_trace(mut self, sink: &'a mut dyn TraceSink) -> Self {
         self.trace_sinks.push(sink);
         self
@@ -213,51 +209,33 @@ impl<'a> RunPlan<'a> {
     /// plan's attached run-level sinks.
     pub fn run<T>(mut self, sites: &mut [SiteTask<T>]) -> RunReport
     where
-        T: Transport + AsyncTransport + Clocked + Send,
+        T: Transport + AsyncTransport + Clocked,
     {
-        let cfg = self.fleet_config();
-        let mut bridge = SampleTraceSink::new();
+        let mut cfg = self.fleet_config();
+        let coop = match self.driver {
+            Driver::Threaded => CoopDriver::new(cfg),
+            Driver::Serial => {
+                cfg.walkers_per_site = 1;
+                CoopDriver::new(cfg).serial()
+            }
+            Driver::Coop { conns } => {
+                let coop = CoopDriver::new(cfg).with_stealing(self.steal);
+                match conns {
+                    Some(c) => coop.with_connections(c),
+                    None => coop,
+                }
+            }
+        };
         let mut run_sinks: Vec<&mut dyn SampleSink> =
             self.sinks.drain(..).map(|s| &mut *s).collect();
         let mut trace_sinks: Vec<&mut dyn TraceSink> =
             self.trace_sinks.drain(..).map(|s| &mut *s).collect();
-        // The threaded/serial drivers have no native trace stream; mirror
-        // their accepted samples through a bridge sink instead.
-        let bridging = !trace_sinks.is_empty() && !matches!(self.driver, Driver::Coop { .. });
-        if bridging {
-            run_sinks.push(&mut bridge);
+        let (fleet, details) = coop.run_traced(sites, &mut run_sinks, &mut trace_sinks);
+        RunReport {
+            driver: self.driver,
+            fleet,
+            details,
         }
-        let report = match self.driver {
-            Driver::Threaded => RunReport {
-                driver: self.driver,
-                fleet: MultiSiteDriver::new(cfg).run_concurrent_observed(sites, &mut run_sinks),
-                details: None,
-            },
-            Driver::Serial => RunReport {
-                driver: self.driver,
-                fleet: MultiSiteDriver::new(cfg).run_serial_observed(sites, &mut run_sinks),
-                details: None,
-            },
-            Driver::Coop { conns } => {
-                let mut coop = CoopDriver::new(cfg).with_stealing(self.steal);
-                if let Some(c) = conns {
-                    coop = coop.with_connections(c);
-                }
-                let (fleet, details) = coop.run_traced(sites, &mut run_sinks, &mut trace_sinks);
-                RunReport {
-                    driver: self.driver,
-                    fleet,
-                    details: Some(details),
-                }
-            }
-        };
-        if bridging {
-            drop(run_sinks);
-            for event in bridge.take() {
-                trace_all(&mut trace_sinks, &event);
-            }
-        }
-        report
     }
 
     /// Connect every locator through the standard
@@ -391,10 +369,7 @@ mod tests {
                 assert!(site.stats.accepted >= 20);
                 assert!(site.history.shard_count > 0);
             }
-            assert_eq!(
-                report.details.is_some(),
-                matches!(driver, Driver::Coop { .. })
-            );
+            assert_eq!(report.details.len(), 2, "one detail per site");
         }
     }
 
@@ -438,46 +413,56 @@ mod tests {
     #[test]
     fn tracing_does_not_perturb_the_sample_sequence() {
         // Acceptance: disabling tracing changes no sample sequence. Run
-        // the cooperative driver twice from one seed, traced and
-        // untraced, and require identical per-site sample key sequences
-        // and identical fleet clocks.
+        // each driver twice from one seed, traced and untraced, and
+        // require identical per-site sample key sequences and identical
+        // fleet clocks.
         use hdsampler_core::TraceLog;
-        let run = |trace: Option<&mut TraceLog>| {
-            let mut fleet = vec![figure1_task("a", 40), figure1_task("b", 60)];
-            let plan = RunPlan::target(25)
-                .walkers(3)
-                .seed(77)
-                .driver(Driver::Coop { conns: Some(2) });
-            let report = match trace {
-                Some(log) => plan.attach_trace(log).run(&mut fleet),
-                None => plan.run(&mut fleet),
+        for driver in [
+            Driver::Threaded,
+            Driver::Serial,
+            Driver::Coop { conns: Some(2) },
+        ] {
+            let run = |trace: Option<&mut TraceLog>| {
+                let mut fleet = vec![figure1_task("a", 40), figure1_task("b", 60)];
+                let plan = RunPlan::target(25).walkers(3).seed(77).driver(driver);
+                let report = match trace {
+                    Some(log) => plan.attach_trace(log).run(&mut fleet),
+                    None => plan.run(&mut fleet),
+                };
+                (
+                    report
+                        .fleet
+                        .sites
+                        .iter()
+                        .map(|s| s.samples.keys())
+                        .collect::<Vec<_>>(),
+                    report.fleet.fleet_elapsed_ms,
+                )
             };
-            (
-                report
-                    .fleet
-                    .sites
-                    .iter()
-                    .map(|s| s.samples.keys())
-                    .collect::<Vec<_>>(),
-                report.fleet.fleet_elapsed_ms,
-            )
-        };
-        let mut log = TraceLog::new();
-        let traced = run(Some(&mut log));
-        let untraced = run(None);
-        assert_eq!(traced, untraced, "tracing must be a pure observer");
-        assert!(
-            log.events().iter().any(|e| e.kind == "wire"),
-            "the traced run journaled wire events"
-        );
-        assert!(log.events().iter().any(|e| e.kind == "sample"));
+            let mut log = TraceLog::new();
+            let traced = run(Some(&mut log));
+            let untraced = run(None);
+            assert_eq!(
+                traced, untraced,
+                "tracing must be a pure observer ({driver:?})"
+            );
+            assert!(
+                log.events().iter().any(|e| e.kind == "wire"),
+                "the traced {driver:?} run journaled wire events"
+            );
+            assert!(log.events().iter().any(|e| e.kind == "sample"));
+        }
     }
 
     #[test]
-    fn threaded_and_serial_drivers_bridge_samples_into_trace_sinks() {
+    fn every_driver_journals_cache_wire_and_sample_events() {
         use hdsampler_core::TraceLog;
-        for driver in [Driver::Threaded, Driver::Serial] {
-            let mut fleet = vec![figure1_task("a", 10)];
+        for driver in [
+            Driver::Threaded,
+            Driver::Serial,
+            Driver::Coop { conns: None },
+        ] {
+            let mut fleet = vec![figure1_task("a", 10), figure1_task("b", 10)];
             let mut log = TraceLog::new();
             let report = RunPlan::target(10)
                 .walkers(2)
@@ -485,12 +470,28 @@ mod tests {
                 .driver(driver)
                 .attach_trace(&mut log)
                 .run(&mut fleet);
-            assert_eq!(
-                log.events().len(),
-                report.total_samples(),
-                "one bridged sample event per accepted sample under {driver:?}"
+            for kind in ["cache", "wire", "sample"] {
+                assert!(
+                    log.events().iter().any(|e| e.kind == kind),
+                    "{driver:?} journaled no `{kind}` event"
+                );
+            }
+            let samples: Vec<_> = log.events().iter().filter(|e| e.kind == "sample").collect();
+            assert_eq!(samples.len(), report.total_samples(), "{driver:?}");
+            // Events keep their site labels; span ids never restart.
+            for site in 0..2u64 {
+                assert!(samples.iter().any(|e| e.site == site), "{driver:?}");
+            }
+            let submits: Vec<u64> = log
+                .events()
+                .iter()
+                .filter(|e| e.kind == "wire" && e.detail == "submit")
+                .map(|e| e.span)
+                .collect();
+            assert!(
+                submits.windows(2).all(|w| w[0] < w[1]),
+                "{driver:?} span ids must be unique and increasing: {submits:?}"
             );
-            assert!(log.events().iter().all(|e| e.kind == "sample"));
         }
     }
 

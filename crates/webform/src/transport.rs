@@ -14,8 +14,7 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
-use std::thread::ThreadId;
+use std::sync::{Arc, OnceLock};
 
 use hdsampler_model::{FormInterface, InterfaceError, Schema};
 use parking_lot::Mutex;
@@ -31,17 +30,17 @@ pub trait Transport: Send + Sync {
 
     /// Close idle keep-alive connections (those with no outstanding work),
     /// releasing their sockets and any per-thread bindings; returns how
-    /// many were closed. Drivers call this between sites so a transport
-    /// whose walker threads have exited does not strand open sockets for
-    /// its whole lifetime. Virtual and in-process wires hold no OS
-    /// resources per connection, so the default closes nothing.
+    /// many were closed. Drivers call this when a site's walkers are
+    /// done, so a finished site does not strand open sockets for the
+    /// transport's whole lifetime. Virtual and in-process wires hold no
+    /// OS resources per connection, so the default closes nothing.
     fn close_idle(&self) -> usize {
         0
     }
 
     /// Wait out a retry backoff of `ms` milliseconds on whatever clock
     /// this wire runs on. Real wires sleep; virtual wires advance the
-    /// calling thread's connection clock instead, so backoff is *billed*
+    /// blocking face's connection clock instead, so backoff is *billed*
     /// (it delays later departures and raises the site's elapsed figure)
     /// without slowing the experiment down.
     fn backoff(&self, ms: u64) {
@@ -156,11 +155,12 @@ impl<F: FormInterface> Transport for LocalSite<F> {
 ///
 /// Two ways to ride a connection:
 ///
-/// * blocking [`Transport::fetch`] binds one connection per calling OS
-///   thread — a multi-threaded walker pool overlaps automatically;
+/// * blocking [`Transport::fetch`] rides one connection, opened on first
+///   use — blocking calls serialize on its clock, whichever thread makes
+///   them;
 /// * the [`AsyncTransport`] face hands out explicit [`ConnId`]s with
 ///   non-blocking submit/poll/complete, so one thread can keep several
-///   requests in flight.
+///   requests in flight (the cooperative driver's face).
 #[derive(Debug)]
 pub struct LatencyTransport<T> {
     inner: T,
@@ -170,8 +170,8 @@ pub struct LatencyTransport<T> {
     /// State of the jitter RNG (a splitmix64 stream keyed off the seed).
     jitter_state: AtomicU64,
     clocks: ConnClocks,
-    /// Blocking-face binding: one connection per calling thread.
-    by_thread: Mutex<HashMap<ThreadId, ConnId>>,
+    /// The blocking face's connection, opened on first use.
+    blocking: OnceLock<ConnId>,
     /// Results of submitted fetches awaiting poll/complete.
     in_flight: Mutex<HashMap<u64, Result<String, InterfaceError>>>,
     next_fetch: AtomicU64,
@@ -196,7 +196,7 @@ impl<T: Transport> LatencyTransport<T> {
             jitter_ms,
             jitter_state: AtomicU64::new(seed),
             clocks: ConnClocks::default(),
-            by_thread: Mutex::new(HashMap::new()),
+            blocking: OnceLock::new(),
             in_flight: Mutex::new(HashMap::new()),
             next_fetch: AtomicU64::new(0),
             charged_ms: AtomicU64::new(0),
@@ -235,8 +235,8 @@ impl<T: Transport> LatencyTransport<T> {
         self.charged_ms.load(Ordering::Relaxed)
     }
 
-    /// Number of virtual connections opened (threads and explicit
-    /// [`AsyncTransport::connect`] calls).
+    /// Number of virtual connections opened (the blocking face's one and
+    /// explicit [`AsyncTransport::connect`] calls).
     pub fn connections(&self) -> usize {
         self.clocks.connections()
     }
@@ -253,25 +253,23 @@ impl<T: Transport> LatencyTransport<T> {
         &self.inner
     }
 
-    /// The connection bound to the calling thread (opened on first use).
-    fn thread_conn(&self) -> ConnId {
-        let tid = std::thread::current().id();
-        let mut map = self.by_thread.lock();
-        *map.entry(tid).or_insert_with(|| self.clocks.connect())
+    /// The blocking face's connection (opened on first use).
+    fn blocking_conn(&self) -> ConnId {
+        *self.blocking.get_or_init(|| self.clocks.connect())
     }
 }
 
 impl<T: Transport> Transport for LatencyTransport<T> {
     fn fetch(&self, path: &str) -> Result<String, InterfaceError> {
-        let conn = self.thread_conn();
+        let conn = self.blocking_conn();
         let handle = self.submit(conn, path);
         self.complete(handle)
     }
 
     fn backoff(&self, ms: u64) {
-        // Virtual wire: bill the wait on the calling thread's connection
+        // Virtual wire: bill the wait on the blocking face's connection
         // clock instead of sleeping.
-        let conn = self.thread_conn();
+        let conn = self.blocking_conn();
         let now = self.clocks.observed(conn);
         self.clocks.advance_to(conn, now + ms);
     }
@@ -447,7 +445,7 @@ mod tests {
         for _ in 0..10 {
             t.fetch("/search?make=Honda").unwrap();
         }
-        // One thread = one connection: sequential fetches serialize.
+        // The blocking face rides one connection: fetches serialize.
         assert_eq!(t.virtual_elapsed_ms(), 1_500);
         assert_eq!(t.total_charged_ms(), 1_500);
         assert_eq!(t.connections(), 1);
@@ -455,22 +453,6 @@ mod tests {
             before.elapsed().as_millis() < 1_000,
             "must not actually sleep"
         );
-    }
-
-    #[test]
-    fn overlapping_fetches_cost_max_not_sum() {
-        // Regression for the serial accounting bug: 10 concurrent fetches
-        // at 150 ms must report ~150 ms of virtual wall clock, not 1500 ms.
-        let site = site();
-        let t = LatencyTransport::new(&site, 150);
-        std::thread::scope(|s| {
-            for _ in 0..10 {
-                s.spawn(|| t.fetch("/search?make=Honda").unwrap());
-            }
-        });
-        assert_eq!(t.virtual_elapsed_ms(), 150, "overlap bills the max");
-        assert_eq!(t.total_charged_ms(), 1_500, "total cost still sums");
-        assert_eq!(t.connections(), 10, "one connection per thread");
     }
 
     #[test]

@@ -124,7 +124,7 @@ fn coop_multi_site_live_snapshots_equal_posthoc_batch() {
         .run(&mut fleet);
 
     assert_eq!(report.total_samples(), 3 * target);
-    assert!(report.details.is_some(), "coop reports per-walker detail");
+    assert_eq!(report.details.len(), 3, "per-walker detail for every site");
 
     // Per-site sinks: byte-identical to the batch build over that site's
     // collected samples, in acceptance order.

@@ -47,6 +47,49 @@ fn hds_uniform_through_webform_stack() {
         keys.push(sampler.next_sample().unwrap().row.key);
     }
     assert_uniform_by_chi_square(&db, &keys, db.n_tuples());
+
+    // The same guarantee through every `RunPlan` driver. Multi-site
+    // plans put the same data behind every site (each with its own
+    // history cache), so the pooled keys must be uniform too.
+    let site = |name: &str| {
+        let schema = Arc::new(db.schema().clone());
+        let local = LocalSite::new(Arc::clone(&db), Arc::clone(&schema));
+        let wire = LatencyTransport::new(local, 20);
+        SiteTask::new(
+            name,
+            WebFormInterface::new(wire, schema, db.result_limit(), false),
+        )
+    };
+    let drivers = [
+        ("threaded W=1", Driver::Threaded, 1, 1, false),
+        ("coop W=4 C=2", Driver::Coop { conns: Some(2) }, 4, 1, false),
+        (
+            "coop steal, 2 sites",
+            Driver::Coop { conns: None },
+            3,
+            2,
+            true,
+        ),
+        ("serial, 2 sites", Driver::Serial, 1, 2, false),
+    ];
+    for (label, driver, walkers, sites, steal) in drivers {
+        let mut fleet: Vec<_> = (0..sites).map(|i| site(&format!("s{i}"))).collect();
+        let report = RunPlan::target(3_000 / sites)
+            .walkers(walkers)
+            .seed(99)
+            .driver(driver)
+            .steal(steal)
+            .run(&mut fleet);
+        assert_eq!(report.total_samples(), 3_000, "{label}");
+        assert_eq!(report.fleet.total_steals() > 0, steal, "{label}");
+        let keys: Vec<u64> = report
+            .fleet
+            .sites
+            .iter()
+            .flat_map(|s| s.samples.keys())
+            .collect();
+        assert_uniform_by_chi_square(&db, &keys, db.n_tuples());
+    }
 }
 
 #[test]
